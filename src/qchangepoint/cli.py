@@ -236,8 +236,12 @@ def _write_output(path: Optional[str], text: str) -> None:
     target = Path(path)
     directory = target.parent if str(target.parent) else Path(".")
     fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=target.name + ".", suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            # mkstemp creates 0600; give the output the mode open() would
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp_name, target)
     except BaseException:

@@ -5,7 +5,10 @@ guess the first click (basic local), or run the per-step optimal two-state
 measurement between the default and mutated states with Bayesian posterior
 updates in between (greedy).  A seeded, counter-based Monte Carlo harness
 estimates their success probabilities; for small n an exact walk of the
-binary outcome tree provides the oracle value.
+binary outcome tree provides the oracle value.  The Monte Carlo engine
+carries the greedy posterior as (tail weight, best weight, best index), so a
+trial costs O(n); simulate_greedy_trial and exact_greedy_enumeration keep the
+full posterior and remain its references.
 """
 
 from __future__ import annotations
@@ -331,35 +334,43 @@ def _simulate_basic_chunk(n: int, c: float, seeds: np.ndarray):
 
 
 def _simulate_greedy_chunk(n: int, c: float, seeds: np.ndarray):
+    # All k >= s have seen identical factors and all k < s share each step's,
+    # so (tail of k >= s, best of k < s, its index) suffices; rescale by the max.
     m = seeds.shape[0]
     true_k = _draw_true_k(n, seeds)
-    eta = np.full((m, n), 1.0 / n)
-    outcomes = np.zeros((m, n), dtype=np.uint8)
-    k_index = np.arange(n)
+    tail = np.ones(m)
+    best = np.zeros(m)
+    best_idx = np.zeros(m, dtype=np.int64)
+    outcomes = np.empty((m, n), dtype=np.uint8)
     for s in range(1, n + 1):
-        pphi = eta[:, :s].max(axis=1)
-        p0 = eta[:, s:].max(axis=1) if s < n else np.zeros(m)
+        tail_wins = best < tail  # strict: ties keep the smaller index, like argmax
+        pphi = np.where(tail_wins, tail, best)
+        best_idx[tail_wins] = s
+        p0 = tail if s < n else np.zeros(m)
         a, b = _outcome_phi_likelihoods(p0, pphi, c)
-        click_prob = np.where(true_k <= s, b, a)
-        clicked = uniform_array(seeds, s) < click_prob
-        like_phi = np.where(k_index[np.newaxis, :] < s, b[:, np.newaxis], a[:, np.newaxis])
-        likelihood = np.where(clicked[:, np.newaxis], like_phi, 1.0 - like_phi)
-        eta *= likelihood
-        norm = eta.sum(axis=1, keepdims=True)
-        if not np.all(norm > 0.0):
-            raise ImpossibleOutcomeError(
-                f"sampled outcome with zero posterior mass at step {s}"
-            )
-        eta /= norm
+        clicked = uniform_array(seeds, s) < np.where(true_k <= s, b, a)
+        best = pphi * np.where(clicked, b, 1.0 - b)
+        tail *= np.where(clicked, a, 1.0 - a)
+        scale = np.maximum(best, tail) if s < n else best
+        if not np.all(scale > 0.0):
+            raise ImpossibleOutcomeError(f"sampled outcome with zero posterior mass at step {s}")
+        best /= scale
+        tail /= scale
         outcomes[:, s - 1] = clicked
-    guess = eta.argmax(axis=1) + 1
-    return true_k, guess, outcomes
+    return true_k, best_idx, outcomes
 
 
 _CHUNK_FUNCS = {"basic": _simulate_basic_chunk, "greedy": _simulate_greedy_chunk}
 
 
 def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int, chunk_size: int):
+    if strategy not in _CHUNK_FUNCS:
+        raise ValueError(f"strategy must be one of {sorted(_CHUNK_FUNCS)}, got {strategy!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_overlap(c)
     simulate = _CHUNK_FUNCS[strategy]
     for start in range(0, trials, chunk_size):
         idx = np.arange(start, min(start + chunk_size, trials), dtype=np.uint64)
@@ -383,13 +394,6 @@ def monte_carlo(
     estimate does not depend on chunking or execution order.  Returns the
     success fraction and its binomial standard error.
     """
-    if strategy not in _CHUNK_FUNCS:
-        raise ValueError(f"strategy must be one of {sorted(_CHUNK_FUNCS)}, got {strategy!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_overlap(c)
     successes = 0
     for _, true_k, guess, _ in _chunked_trials(strategy, n, c, trials, base_seed, chunk_size):
         successes += int((guess == true_k).sum())
@@ -406,20 +410,12 @@ def iter_trial_records(
     chunk_size: int = _CHUNK_SIZE,
 ) -> Iterator[TrialRecord]:
     """Per-trial records from the same engine and stream as monte_carlo."""
-    if strategy not in _CHUNK_FUNCS:
-        raise ValueError(f"strategy must be one of {sorted(_CHUNK_FUNCS)}, got {strategy!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_overlap(c)
-    bit_chars = np.array(["0", "1"])
     for seeds, true_k, guess, outcomes in _chunked_trials(
         strategy, n, c, trials, base_seed, chunk_size
     ):
-        for row in range(seeds.shape[0]):
-            yield TrialRecord(
-                true_k=int(true_k[row]),
-                guess=int(guess[row]),
-                outcomes="".join(bit_chars[outcomes[row]]),
-                success=bool(guess[row] == true_k[row]),
-                seed=int(seeds[row]),
-            )
+        # one fixed-width ASCII '0'/'1' string per trial, built for the whole chunk
+        bit_strings = (outcomes + ord("0")).view(f"S{n}").ravel().astype(f"U{n}")
+        for k, g, bits, seed in zip(
+            true_k.tolist(), guess.tolist(), bit_strings.tolist(), seeds.tolist()
+        ):
+            yield TrialRecord(true_k=k, guess=g, outcomes=bits, success=g == k, seed=seed)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -47,6 +49,17 @@ class TestGoldenOutputs:
                 "--trials", "1000", "--seed", "3", "--out", str(out)]
         assert cli.main(argv) == 0
         assert out.read_bytes().decode("utf-8") == MONTECARLO_GOLDEN
+
+    def test_output_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        previous = os.umask(0o022)
+        try:
+            rc = cli.main(["montecarlo", "--strategy", "basic", "--n", "3", "--c2", "0.5",
+                           "--trials", "10", "--out", str(out)])
+        finally:
+            os.umask(previous)
+        assert rc == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
     def test_stdout_when_no_out(self, capsys):
         assert cli.main(["sweep", "--n", "2", "--c2", "0.36"]) == 0

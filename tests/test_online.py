@@ -286,18 +286,27 @@ class TestMonteCarloHarness:
         g1 = monte_carlo("greedy", 5, 0.6, 2001, 5, chunk_size=37)
         g2 = monte_carlo("greedy", 5, 0.6, 2001, 5, chunk_size=2048)
         assert g1 == g2
+        r1 = list(iter_trial_records("greedy", 50, 0.6, 500, 5, chunk_size=37))
+        r2 = list(iter_trial_records("greedy", 50, 0.6, 500, 5, chunk_size=4096))
+        assert r1 == r2
 
     def test_records_match_scalar_simulators(self):
         # the vectorized engine and the step-by-step scalar ops follow the
-        # same counter-based stream, so whole trials coincide
-        for strategy, simulate, n in (
-            ("basic", simulate_basic_local, 11),
-            ("greedy", simulate_greedy_trial, 7),
+        # same counter-based stream, so whole trials coincide; the greedy
+        # replay runs the full posterior, the engine only (tail, best, index)
+        for strategy, simulate, n, c in (
+            ("basic", simulate_basic_local, 11, 0.6),
+            ("basic", simulate_basic_local, 1, 0.6),
+            ("greedy", simulate_greedy_trial, 7, 0.6),
+            ("greedy", simulate_greedy_trial, 1, 0.6),
+            ("greedy", simulate_greedy_trial, 50, 0.0),
+            ("greedy", simulate_greedy_trial, 50, math.sqrt(0.5)),
+            ("greedy", simulate_greedy_trial, 50, math.sqrt(0.95)),
         ):
-            records = list(iter_trial_records(strategy, n, 0.6, 150, 31))
+            records = list(iter_trial_records(strategy, n, c, 150, 31))
             assert len(records) == 150
             for record in records:
-                replay = simulate(n, 0.6, record.true_k, CounterRng(record.seed))
+                replay = simulate(n, c, record.true_k, CounterRng(record.seed))
                 assert replay == record
 
     def test_record_seeds_are_derived_trial_seeds(self):
@@ -310,6 +319,13 @@ class TestMonteCarloHarness:
         counts = np.bincount([r.true_k for r in records], minlength=6)[1:]
         # each position should get about 4000 draws
         assert counts.min() > 3700 and counts.max() < 4300
+
+    @pytest.mark.parametrize("strategy", ["basic", "greedy"])
+    def test_zero_length_rejected(self, strategy):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            monte_carlo(strategy, 0, 0.5, 10, 1)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            list(iter_trial_records(strategy, 0, 0.5, 10, 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
