@@ -32,7 +32,7 @@ import numpy as np
 
 from .collective import collective_summary
 from .exceptions import SpectralFailureError
-from .gram import diag_deviation_asymptotic, solve_spectrum, sqrt_gram, sqrt_trace_limit
+from .gram import diag_deviation_asymptotic, solve_spectrum, sqrt_trace_limit
 from .online import basic_local_closed_form, iter_trial_records, monte_carlo
 
 __all__ = ["ConfigError", "SweepRecord", "main", "entrypoint",
@@ -317,11 +317,9 @@ def run_spectrum_dump(raw: dict[str, str]) -> tuple[dict, list[dict]]:
     if not 1 <= kmax <= n:
         raise ConfigError(f"kmax must lie in [1, n={n}], got {kmax}")
     c = math.sqrt(c2)
-    try:
-        spectrum = solve_spectrum(n, c)
-    except SpectralFailureError as exc:
-        raise SpectralFailureError(f"at grid point n={n}, c2={c2:g}: {exc}") from exc
-    root = sqrt_gram(spectrum)
+    spectrum = solve_spectrum(n, c)
+    # only the printed diagonal of sqrt(G), not the whole matrix
+    diag = (spectrum.eigvecs[:kmax] ** 2) @ np.sqrt(spectrum.lambdas)
     gamma = sqrt_trace_limit(c)
     rows: list[dict] = []
     for l in range(n):
@@ -332,7 +330,7 @@ def run_spectrum_dump(raw: dict[str, str]) -> tuple[dict, list[dict]]:
             "lambda_l": float(spectrum.lambdas[l]),
         })
     for k in range(1, kmax + 1):
-        diag_kk = float(root.diag[k - 1])
+        diag_kk = float(diag[k - 1])
         rows.append({
             "table": "diag",
             "k": k,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateEnsembleError
-from .gram import jacobi_eigensolve, solve_spectrum, sqrt_gram
+from .gram import solve_spectrum, sqrt_gram
 from .special import elliptic_k
 
 __all__ = [
@@ -58,13 +58,22 @@ class WeightedGram:
 
 @dataclass(frozen=True)
 class PovmSolverResult:
-    """Outcome of the fixed-point POVM iteration."""
+    """Outcome of the fixed-point POVM iteration.
+
+    The optimal elements are rank one, E_k = g_k g_k^T, so only the vectors
+    are stored: vectors[:, k] is g_k, in the coordinates of the states.
+    """
 
     success_probability: float
-    povm: np.ndarray  # shape (n, n, n); povm[k] is the element for guess k
+    vectors: np.ndarray
     iterations: int
     residual: float
     converged: bool
+
+    @property
+    def povm(self) -> np.ndarray:
+        """Dense elements, shape (n, d, d); povm[k] is the element for guess k."""
+        return np.einsum("ik,jk->kij", self.vectors, self.vectors)
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,9 @@ class CollectiveSummary:
 def weighted_gram(gram: np.ndarray, priors: np.ndarray) -> WeightedGram:
     """Weight the Gram matrix by priors and take its square root.
 
-    The square root comes from the cyclic Jacobi eigensolver; eigenvalues
-    below 1e-12 of the largest are clamped to zero and flag rank deficiency.
+    The square root comes from LAPACK's symmetric eigensolver (numpy eigh);
+    eigenvalues below 1e-12 of the largest flag rank deficiency, and negative
+    ones are clamped to zero.
     """
     gram = np.asarray(gram, dtype=float)
     priors = np.asarray(priors, dtype=float)
@@ -95,7 +105,7 @@ def weighted_gram(gram: np.ndarray, priors: np.ndarray) -> WeightedGram:
         raise ValueError("priors must be nonnegative and sum to 1")
     root_p = np.sqrt(priors)
     w = root_p[:, np.newaxis] * gram * root_p[np.newaxis, :]
-    eigenvalues, eigenvectors = jacobi_eigensolve(w)
+    eigenvalues, eigenvectors = np.linalg.eigh(w)
     lam_max = float(eigenvalues[-1])
     rank_deficient = bool(eigenvalues[0] <= _RANK_TOL * max(lam_max, 1.0))
     clamped = np.clip(eigenvalues, 0.0, None)
@@ -149,18 +159,13 @@ def embed_states(gram: np.ndarray) -> np.ndarray:
     reproduce the Gram matrix exactly.
     """
     gram = np.asarray(gram, dtype=float)
-    eigenvalues, eigenvectors = jacobi_eigensolve(gram)
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
     if eigenvalues[0] <= _RANK_TOL * max(float(eigenvalues[-1]), 1.0):
         raise DegenerateEnsembleError(
             f"Gram matrix is rank deficient (min eigenvalue {eigenvalues[0]:.3e})"
         )
     root = eigenvectors @ (np.sqrt(eigenvalues)[:, np.newaxis] * eigenvectors.T)
     return 0.5 * (root + root.T)
-
-
-def _success_probability(states: np.ndarray, priors: np.ndarray, povm_vecs: np.ndarray) -> float:
-    overlaps = np.einsum("ik,ik->k", states, povm_vecs)
-    return float((priors * overlaps**2).sum())
 
 
 def optimal_povm_fixed_point(
@@ -174,8 +179,14 @@ def optimal_povm_fixed_point(
     Seeds with the square root measurement, then repeatedly conjugates each
     element by the inverse square root of sum_j p_j <psi_j|E_j|psi_j>
     |psi_j><psi_j|, the classical steering map whose fixed points satisfy the
-    optimality conditions.  The success probability never decreases; the loop
-    stops once the per-iteration gain drops below tol.
+    optimality conditions.  The loop stops once the per-iteration gain drops
+    below tol; a step that lowers the success probability by more than 1e-12
+    ends it with converged=False and the best iterate returned.
+
+    The iteration runs in Gram form.  With steering weights w, B = S diag(sqrt w)
+    and M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the elements are E_k = g_k g_k^T
+    with g = B M^{-1/2}, and <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k).  A step is
+    one n x n eigendecomposition of M; the vectors g are formed once at the end.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -184,45 +195,48 @@ def optimal_povm_fixed_point(
     n = states.shape[1]
     if np.any(priors < 0.0) or abs(priors.sum() - 1.0) > _PRIOR_TOL:
         raise ValueError("priors must be nonnegative and sum to 1")
+    gram = states.T @ states
 
-    def inv_sqrt(op: np.ndarray) -> np.ndarray:
-        # aggregate operator is only supported on the span of the states;
-        # pseudo-invert anything below 1e-12 of the top eigenvalue
-        vals, vecs = np.linalg.eigh(op)
-        cut = 1e-12 * max(float(vals[-1]), 0.0)
-        inv_root = np.where(vals > cut, 1.0 / np.sqrt(np.clip(vals, cut, None)), 0.0)
-        return vecs @ (inv_root[:, np.newaxis] * vecs.T)
+    def steer(weights: np.ndarray):
+        # M shares its nonzero spectrum with the state-space aggregate
+        # B B^T; pseudo-invert anything below 1e-12 of the top eigenvalue
+        root_w = np.sqrt(weights)
+        vals, vecs = np.linalg.eigh(root_w[:, np.newaxis] * gram * root_w)
+        kept = vals > _RANK_TOL * max(float(vals[-1]), 0.0)
+        root_vals = np.sqrt(np.where(kept, vals, 0.0))
+        overlaps = np.divide(
+            (vecs**2) @ root_vals, root_w, out=np.zeros(n), where=root_w > 0.0
+        )
+        return overlaps, (root_w, vecs, root_vals)
 
-    # square root measurement: E_k = S^{-1/2} p_k |psi_k><psi_k| S^{-1/2},
-    # kept in rank-one form E_k = g_k g_k^T throughout
-    aggregate = (states * priors) @ states.T
-    povm_vecs = inv_sqrt(aggregate) @ (states * np.sqrt(priors))
-    success = _success_probability(states, priors, povm_vecs)
-    best_vecs, best_success = povm_vecs, success
+    # square root measurement: steering weights equal to the priors
+    overlaps, current = steer(priors)
+    success = float((priors * overlaps**2).sum())
+    best, best_success = current, success
 
     iterations = 0
     residual = math.inf
     converged = False
     for iterations in range(1, max_iter + 1):
-        weights = priors * np.einsum("ik,ik->k", states, povm_vecs) ** 2
-        aggregate = (states * weights) @ states.T
-        new_vecs = (inv_sqrt(aggregate) @ states) * np.sqrt(weights)
-        new_success = _success_probability(states, priors, new_vecs)
+        overlaps, current = steer(priors * overlaps**2)
+        new_success = float((priors * overlaps**2).sum())
         gain = new_success - success
-        povm_vecs, success = new_vecs, new_success
+        success = new_success
         if success > best_success:
-            best_vecs, best_success = povm_vecs, success
+            best, best_success = current, success
         residual = abs(gain)
         if gain < tol:
             converged = gain > -1e-12
             break
     if not converged:
-        povm_vecs, success = best_vecs, best_success
+        current, success = best, best_success
 
-    povm = np.einsum("ik,jk->kij", povm_vecs, povm_vecs)
+    root_w, vecs, root_vals = current
+    inv_root = np.divide(1.0, root_vals, out=np.zeros(n), where=root_vals > 0.0)
+    vectors = (states * root_w) @ (vecs * inv_root) @ vecs.T
     return PovmSolverResult(
         success_probability=success,
-        povm=povm,
+        vectors=vectors,
         iterations=iterations,
         residual=abs(residual),
         converged=converged,
@@ -238,7 +252,7 @@ def collective_summary(
     """All collective figures at one (n, c) point under uniform priors.
 
     Goes through the closed-form spectrum, so W = G/n quantities come out of
-    the Chebyshev-root eigendecomposition rather than the Jacobi oracle.
+    the Chebyshev-root eigendecomposition rather than a numerical eigensolver.
     """
     spectrum = solve_spectrum(n, c)
     root = sqrt_gram(spectrum)

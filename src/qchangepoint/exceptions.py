@@ -7,8 +7,8 @@ class DegenerateEnsembleError(ValueError):
 
 
 class SpectralFailureError(RuntimeError):
-    """Root bracketing could not isolate the expected number of eigenvalue
-    angles after the maximum number of grid refinements."""
+    """An iterative eigensolver (the cyclic Jacobi oracle) did not reach its
+    off-diagonal tolerance within the sweep limit."""
 
 
 class ImpossibleOutcomeError(ValueError):

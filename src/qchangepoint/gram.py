@@ -3,8 +3,10 @@
 The n source states (change at position k) have pairwise overlaps c^{|i-j|},
 a symmetric Toeplitz Gram matrix whose inverse is tridiagonal up to two
 corner corrections.  Eigenvalue angles are the zeros of the boundary
-polynomial, located here by sign-change bracketing and bisection; a
-hand-rolled cyclic Jacobi eigensolver serves as the independent oracle.
+polynomial; each has an analytic bracket of width pi/(n+1), and all n are
+bisected at once to full float precision.  A hand-rolled cyclic Jacobi
+eigensolver is kept as the independent test oracle; the library does not
+call it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .exceptions import DegenerateEnsembleError, SpectralFailureError
-from .special import elliptic_k, phase_amplitude
+from .special import elliptic_k
 
 __all__ = [
     "GramSpectrum",
@@ -31,8 +33,6 @@ __all__ = [
     "integral_i_r",
 ]
 
-_THETA_TOL = 1e-13
-_MAX_REFINEMENTS = 12
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 60
 
@@ -103,50 +103,16 @@ def gram_inverse(n: int, c: float) -> np.ndarray:
     return ((1.0 + c * c) * np.eye(n) - c * h) / (1.0 - c * c)
 
 
-def _bracket_roots(n: int, c: float) -> list[tuple[float, float]]:
-    """Bracket the n zeros of the boundary polynomial on (0, pi).
-
-    The polynomial at x = cos(theta) equals A(theta) sin(n theta + delta)
-    with A > 0, so sign changes of sin(n theta + delta) locate the zeros.
-    The grid starts at 4n+1 points and doubles locally until n sign changes
-    are found.
-    """
-
-    def sign_fn(theta: float) -> float:
-        _, delta = phase_amplitude(theta, c)
-        return math.sin(n * theta + delta)
-
-    lo_edge = 1e-12
-    hi_edge = math.pi - 1e-12
-    points = 4 * n + 1
-    found = 0
-    for _ in range(_MAX_REFINEMENTS + 1):
-        grid = np.linspace(lo_edge, hi_edge, points)
-        # a value of exactly 0.0 counts as positive so a root sitting on a
-        # grid point yields one bracket, not two
-        signs = [sign_fn(t) >= 0.0 for t in grid]
-        brackets = [
-            (grid[i], grid[i + 1])
-            for i in range(points - 1)
-            if signs[i] != signs[i + 1]
-        ]
-        found = len(brackets)
-        if found >= n:
-            return brackets[:n]
-        points = 2 * (points - 1) + 1
-    raise SpectralFailureError(
-        f"found {found} of {n} eigenvalue angles for c={c} "
-        f"after {_MAX_REFINEMENTS} grid refinements"
-    )
-
-
 def solve_spectrum(n: int, c: float) -> GramSpectrum:
-    """Eigendecomposition of the Gram matrix from the boundary polynomial.
+    """Eigendecomposition of the Gram matrix from the boundary phase.
 
-    The n angles theta_l are bisected to 1e-13; eigenvalues follow as
-    (1-c^2)/(1-2c cos(theta_l)+c^2) and eigenvector components as
-    [sin(j theta_l) - c sin((j-1) theta_l)] / sin(theta_l), normalized by
-    their explicitly summed Euclidean norm.
+    The angle theta_l is the one root of the phase equation
+    (n+1) theta + 2 phi(theta) = l pi, phi = atan2(c sin(theta), 1 - c cos(theta)),
+    inside ((l-1) pi/(n+1), l pi/(n+1)]; the phase has slope >= n there.  All
+    n brackets are bisected at once down to adjacent floats.  Eigenvalues
+    follow as (1-c^2)/(1-2c cos(theta_l)+c^2); eigenvector components
+    sin(j theta) - c sin((j-1) theta) equal R sin(j theta + phi) with R > 0,
+    so they are built from one sine each and normalized by their summed norm.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -158,27 +124,24 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
         vecs /= np.linalg.norm(vecs, axis=0)
         return GramSpectrum(n=n, c=0.0, thetas=thetas, lambdas=np.ones(n), eigvecs=vecs)
 
-    def sign_fn(theta: float) -> float:
-        _, delta = phase_amplitude(theta, c)
-        return math.sin(n * theta + delta)
+    def boundary_phase(theta: np.ndarray) -> np.ndarray:
+        return np.arctan2(c * np.sin(theta), 1.0 - c * np.cos(theta))
 
-    thetas = np.empty(n)
-    for l, (lo, hi) in enumerate(_bracket_roots(n, c)):
-        sign_lo = sign_fn(lo) >= 0.0
-        while hi - lo > _THETA_TOL:
-            mid = 0.5 * (lo + hi)
-            f_mid = sign_fn(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-            elif (f_mid >= 0.0) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        thetas[l] = 0.5 * (lo + hi)
+    target = j * math.pi
+    lo = (j - 1) * math.pi / (n + 1.0)
+    hi = target / (n + 1.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            break
+        below = (n + 1.0) * mid + 2.0 * boundary_phase(mid) < target
+        lo = np.where(inside & below, mid, lo)
+        hi = np.where(inside & ~below, mid, hi)
+    thetas = hi
 
     lambdas = (1.0 - c * c) / (1.0 - 2.0 * c * np.cos(thetas) + c * c)
-    jt = np.outer(j, thetas)
-    vecs = (np.sin(jt) - c * np.sin(jt - thetas[np.newaxis, :])) / np.sin(thetas)
+    vecs = np.sin(np.outer(j, thetas) + boundary_phase(thetas))
     vecs /= np.linalg.norm(vecs, axis=0)
     return GramSpectrum(n=n, c=c, thetas=thetas, lambdas=lambdas, eigvecs=vecs)
 

@@ -1,6 +1,7 @@
 """Tests for the collective-measurement figures of merit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,47 @@ from qchangepoint.collective import (
     weighted_gram,
 )
 from qchangepoint.exceptions import DegenerateEnsembleError
-from qchangepoint.gram import build_gram, solve_spectrum, sqrt_gram
+from qchangepoint.gram import build_gram, jacobi_eigensolve, solve_spectrum, sqrt_gram
 
 
 def uniform(n):
     return np.full(n, 1.0 / n)
+
+
+def jacobi_sqrt(matrix):
+    values, vectors = jacobi_eigensolve(matrix)
+    return vectors @ (np.sqrt(np.clip(values, 0.0, None))[:, None] * vectors.T)
+
+
+def state_space_fixed_point(states, priors, tol=1e-10, max_iter=10_000):
+    """Oracle: the fixed-point iteration on d x d state-space operators.
+
+    Returns (success, povm vectors, iterations, converged).
+    """
+
+    def steer(weights):
+        vals, vecs = np.linalg.eigh((states * weights) @ states.T)
+        cut = 1e-12 * max(vals[-1], 0.0)
+        inv_root = np.where(vals > cut, 1.0 / np.sqrt(np.clip(vals, cut, None)), 0.0)
+        return (vecs @ (inv_root[:, None] * vecs.T) @ states) * np.sqrt(weights)
+
+    def overlaps(g):
+        return np.einsum("ik,ik->k", states, g)
+
+    g = steer(priors)
+    value = float((priors * overlaps(g) ** 2).sum())
+    best = (value, g)
+    for iterations in range(1, max_iter + 1):
+        g = steer(priors * overlaps(g) ** 2)
+        new_value = float((priors * overlaps(g) ** 2).sum())
+        gain, value = new_value - value, new_value
+        if value > best[0]:
+            best = (value, g)
+        if gain < tol:
+            if gain > -1e-12:
+                return value, g, iterations, True
+            break
+    return best[0], best[1], iterations, False
 
 
 class TestWeightedGram:
@@ -46,6 +83,13 @@ class TestWeightedGram:
     def test_full_rank_not_flagged(self):
         w = weighted_gram(build_gram(3, 0.5), uniform(3))
         assert not w.rank_deficient
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_sqrt_matches_jacobi_oracle(self, n):
+        g = build_gram(n, 0.7)
+        priors = np.random.default_rng(n).dirichlet(np.ones(n))
+        w = weighted_gram(g, priors)
+        assert np.abs(w.sqrt_matrix - jacobi_sqrt(w.matrix)).max() < 1e-10
 
     def test_rejects_bad_priors(self):
         with pytest.raises(ValueError):
@@ -131,6 +175,11 @@ class TestEmbedStates:
         assert np.abs(b.T @ b - build_gram(n, c)).max() < 1e-10
         np.testing.assert_allclose(np.linalg.norm(b, axis=0), np.ones(n), atol=1e-10)
 
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_matches_jacobi_oracle(self, n):
+        g = build_gram(n, 0.7)
+        assert np.abs(embed_states(g) - jacobi_sqrt(g)).max() < 1e-10
+
     def test_rank_deficient_raises(self):
         with pytest.raises(DegenerateEnsembleError):
             embed_states(np.ones((3, 3)))
@@ -191,6 +240,45 @@ class TestFixedPointSolver:
             srm = srm_success(w)
             assert lower - 1e-10 <= srm <= result.success_probability + 1e-9
             assert result.success_probability <= upper + 1e-9
+
+    @pytest.mark.parametrize("c", [0.3, 0.8, 0.97])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_matches_state_space_reference(self, n, c):
+        states = embed_states(build_gram(n, c))
+        priors = np.random.default_rng([n, int(100 * c)]).dirichlet(np.ones(n))
+        result = optimal_povm_fixed_point(states, priors)
+        value, g, iterations, converged = state_space_fixed_point(states, priors)
+        assert result.success_probability == pytest.approx(value, abs=1e-12)
+        assert result.iterations == iterations
+        assert result.converged == converged
+        oracle_povm = np.einsum("ik,jk->kij", g, g)
+        assert np.abs(result.povm - oracle_povm).max() < 1e-10
+
+    def test_zero_prior_gives_zero_element(self):
+        states = embed_states(build_gram(4, 0.6))
+        priors = np.array([0.3, 0.0, 0.4, 0.3])
+        result = optimal_povm_fixed_point(states, priors)
+        assert np.all(np.isfinite(result.vectors))
+        assert math.isfinite(result.success_probability)
+        assert np.abs(result.povm[1]).max() < 1e-12
+        value, _, _, _ = state_space_fixed_point(states, priors)
+        assert result.success_probability == pytest.approx(value, abs=1e-12)
+
+    def test_vectors_rebuild_povm(self):
+        result = optimal_povm_fixed_point(embed_states(build_gram(6, 0.5)), uniform(6))
+        for k, element in enumerate(result.povm):
+            np.testing.assert_array_equal(element, np.outer(result.vectors[:, k], result.vectors[:, k]))
+
+    def test_memory_is_quadratic_in_n(self):
+        # the dense (n, n, n) element tensor alone would be 216 MB at n = 300
+        states = embed_states(build_gram(300, math.sqrt(0.5)))
+        tracemalloc.start()
+        try:
+            optimal_povm_fixed_point(states, uniform(300))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     def test_tol_validation(self):
         with pytest.raises(ValueError):

@@ -122,17 +122,25 @@ class TestSolveSpectrum:
         np.testing.assert_allclose(spectrum.lambdas, np.ones(6), atol=1e-14)
         np.testing.assert_allclose(spectrum.thetas, np.arange(1, 7) * math.pi / 7, atol=1e-14)
 
-    def test_bracketing_failure_raises(self, monkeypatch):
-        import qchangepoint.gram as gram_module
-        from qchangepoint.exceptions import SpectralFailureError
+    @pytest.mark.parametrize("c2", [1e-12, 0.5, 0.99, 0.999999])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_bracket_invariant(self, n, c2):
+        # theta_l is the root of (n+1) theta + 2 atan2(c sin, 1 - c cos) = l pi
+        # inside its analytic bracket ((l-1) pi/(n+1), l pi/(n+1)]
+        c = math.sqrt(c2)
+        thetas = solve_spectrum(n, c).thetas
+        l = np.arange(1, n + 1)
+        assert np.all((l - 1) * math.pi / (n + 1) < thetas)
+        assert np.all(thetas <= l * math.pi / (n + 1))
+        phase = (n + 1) * thetas + 2 * np.arctan2(c * np.sin(thetas), 1 - c * np.cos(thetas))
+        assert np.abs(phase / (l * math.pi) - 1).max() <= 1e-14
 
-        # a phase that cancels the n*theta ramp leaves no sign changes, so
-        # every refinement round comes up empty
-        monkeypatch.setattr(
-            gram_module, "phase_amplitude", lambda theta, c: (1.0, 0.5 - 4 * theta)
-        )
-        with pytest.raises(SpectralFailureError, match="0 of 4"):
-            solve_spectrum(4, 0.5)
+    @pytest.mark.parametrize("c2", [0.5, 0.99])
+    def test_eigenpair_residual_at_n1000(self, c2):
+        c = math.sqrt(c2)
+        spectrum = solve_spectrum(1000, c)
+        residual = build_gram(1000, c) @ spectrum.eigvecs - spectrum.eigvecs * spectrum.lambdas
+        assert np.abs(residual).max() <= 1e-13 * spectrum.lambdas.max()
 
     @pytest.mark.parametrize("c", C_GRID)
     @pytest.mark.parametrize("n", [1, 2, 9, 60])
@@ -166,6 +174,13 @@ class TestSqrtGram:
     def test_square_reproduces_gram(self, n, c):
         root = sqrt_gram(solve_spectrum(n, c))
         assert np.abs(root.matrix @ root.matrix - build_gram(n, c)).max() < 1e-8
+
+    @pytest.mark.parametrize("c2", [0.25, 0.5, 0.99])
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_sqrt_diagonal_persymmetric(self, n, c2):
+        # G commutes with the reversal J, so diag(sqrt G)_k = diag(sqrt G)_{n+1-k}
+        diag = sqrt_gram(solve_spectrum(n, math.sqrt(c2))).diag
+        assert np.abs(diag - diag[::-1]).max() <= 2e-14
 
     @pytest.mark.parametrize("c", [0.2, 0.6, 0.9])
     @pytest.mark.parametrize("n", [2, 5, 25, 120])

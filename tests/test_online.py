@@ -327,6 +327,25 @@ class TestMonteCarloHarness:
         with pytest.raises(ValueError, match="n must be >= 1"):
             list(iter_trial_records(strategy, 0, 0.5, 10, 1))
 
+    def test_greedy_tie_keeps_smaller_index(self, monkeypatch):
+        # with a = b = 1/2 every outcome scales the best and the tail weight
+        # alike, so from step 2 on they tie exactly; the tie keeps the
+        # earlier index, as argmax over the full posterior would
+        import qchangepoint.online as online_module
+
+        seen = []
+
+        def flat_likelihoods(p0, pphi, c):
+            seen.append((np.array(p0), np.array(pphi)))
+            return np.full_like(pphi, 0.5), np.full_like(pphi, 0.5)
+
+        monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", flat_likelihoods)
+        records = list(iter_trial_records("greedy", 5, 0.5, 200, 3))
+        # p0 is the tail weight and pphi the best weight for steps 2 .. n-1
+        for tail, best in seen[1:4]:
+            np.testing.assert_array_equal(best, tail)
+        assert [r.guess for r in records] == [1] * 200
+
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo("smart", 5, 0.5, 10, 1)
