@@ -18,24 +18,23 @@ renamed, so failures never leave partial files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .collective import collective_summary
-from .exceptions import SpectralFailureError
 from .gram import diag_deviation_asymptotic, solve_spectrum, sqrt_trace_limit
 from .online import basic_local_closed_form, iter_trial_records, monte_carlo
 
-__all__ = ["ConfigError", "SweepRecord", "main", "entrypoint",
+__all__ = ["ConfigError", "main", "entrypoint",
            "run_sweep", "run_spectrum_dump", "run_montecarlo"]
 
 _MAX_SEED = 2**64
@@ -49,26 +48,11 @@ SPECTRUM_COLUMNS = (
     "deviation_numeric", "deviation_asymptotic",
 )
 MONTECARLO_COLUMNS = ("strategy", "n", "c2", "trials", "estimate", "std_error", "base_seed")
+RECORD_COLUMNS = ("strategy", "n", "c2", "trial", "true_k", "guess", "outcomes", "success", "seed")
 
 
 class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One output row of the sweep subcommand; None fields serialize empty."""
-
-    n: int
-    c2: float
-    lower_bound: float
-    srm: float
-    fixed_point_opt: float
-    upper_bound: float
-    asymptotic: float
-    basic_local: Optional[float] = None
-    greedy_estimate: Optional[float] = None
-    greedy_stderr: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +198,31 @@ def _json_cell(value):
     return float(f"{float(value):.12g}")
 
 
-def _serialize(columns: Sequence[str], rows: list[dict], fmt: str) -> str:
-    lines = []
+def _serialize(columns: Sequence[str], rows: Iterable[dict], fmt: str) -> Iterator[str]:
+    """Yield the output one line at a time, each ending in a newline.
+
+    Missing columns serialize empty (CSV) or null (JSONL); extra keys are ignored.
+    """
     if fmt == "csv":
-        lines.append(",".join(columns))
+        yield ",".join(columns) + "\n"
         for row in rows:
-            lines.append(",".join(_format_cell(row.get(col)) for col in columns))
+            yield ",".join(_format_cell(row.get(col)) for col in columns) + "\n"
     else:
         for row in rows:
-            lines.append(json.dumps(
+            yield json.dumps(
                 {col: _json_cell(row.get(col)) for col in columns},
                 separators=(",", ":"),
-            ))
-    return "\n".join(lines) + "\n"
+            ) + "\n"
 
 
-def _write_output(path: Optional[str], text: str) -> None:
+def _write_output(path: Optional[str], lines: Iterable[str]) -> None:
+    """Write lines to stdout, or to path through a temp file renamed at the end.
+
+    The lines are consumed inside the try block, so an error raised while
+    producing them removes the temp file and leaves no partial output.
+    """
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     target = Path(path)
     directory = target.parent if str(target.parent) else Path(".")
@@ -242,7 +233,7 @@ def _write_output(path: Optional[str], text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             # mkstemp creates 0600; give the output the mode open() would
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            handle.writelines(lines)
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -280,20 +271,8 @@ def run_sweep(raw: dict[str, str]) -> tuple[dict, list[dict]]:
     def worker(point: tuple[int, float]) -> dict:
         n, c2 = point
         c = math.sqrt(c2)
-        try:
-            summary = collective_summary(n, c, tol=fp_tol, max_iter=fp_max_iter)
-        except SpectralFailureError as exc:
-            raise SpectralFailureError(f"at grid point n={n}, c2={c2:g}: {exc}") from exc
-        record = SweepRecord(
-            n=n,
-            c2=c2,
-            lower_bound=summary.lower_bound,
-            srm=summary.srm,
-            fixed_point_opt=summary.fixed_point_opt,
-            upper_bound=summary.upper_bound,
-            asymptotic=summary.asymptotic,
-        )
-        row = record.__dict__.copy()
+        summary = collective_summary(n, c, tol=fp_tol, max_iter=fp_max_iter)
+        row = {**dataclasses.asdict(summary), "c2": c2}
         if trials > 0:
             estimate, stderr = monte_carlo("greedy", n, c, trials, settings["seed"])
             row["basic_local"] = basic_local_closed_form(n, c)
@@ -443,24 +422,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raw = _merge_config(args, args.subcommand)
         if args.subcommand == "sweep":
             settings, rows = run_sweep(raw)
-            _write_output(settings["out"], _serialize(SWEEP_COLUMNS, rows, settings["format"]))
+            columns = SWEEP_COLUMNS
         elif args.subcommand == "spectrum":
             settings, rows = run_spectrum_dump(raw)
-            _write_output(settings["out"], _serialize(SPECTRUM_COLUMNS, rows, settings["format"]))
+            columns = SPECTRUM_COLUMNS
         else:
             settings, rows, records = run_montecarlo(raw)
-            _write_output(settings["out"], _serialize(MONTECARLO_COLUMNS, rows, settings["format"]))
-            if settings["records_path"] is not None:
-                lines = [json.dumps({k: _json_cell(v) for k, v in record.items()},
-                                    separators=(",", ":"))
-                         for record in records]
-                _write_output(settings["records_path"], "\n".join(lines) + "\n")
+            columns = MONTECARLO_COLUMNS
+        _write_output(settings["out"], _serialize(columns, rows, settings["format"]))
+        if settings.get("records_path") is not None:
+            _write_output(settings["records_path"], _serialize(RECORD_COLUMNS, records, "jsonl"))
     except ConfigError as exc:
         print(f"qchangepoint: config error: {exc}", file=sys.stderr)
         return 2
-    except SpectralFailureError as exc:
-        print(f"qchangepoint: spectral failure: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import qchangepoint.cli as cli
-from qchangepoint.exceptions import SpectralFailureError
 from qchangepoint.online import basic_local_closed_form
 
 SWEEP_GOLDEN = (
@@ -31,6 +30,30 @@ MONTECARLO_GOLDEN = (
     "basic,5,0.5,1000,0.607,0.0154450963092,3\n"
 )
 
+# montecarlo --n 3 --c2 0.5 --trials 4 --seed 3 --records FILE, per strategy
+RECORDS_GOLDEN = {
+    "greedy": (
+        '{"strategy":"greedy","n":3,"c2":0.5,"trial":0,"true_k":3,"guess":3,'
+        '"outcomes":"001","success":true,"seed":2092789425003139053}\n'
+        '{"strategy":"greedy","n":3,"c2":0.5,"trial":1,"true_k":2,"guess":2,'
+        '"outcomes":"011","success":true,"seed":12918135221727111561}\n'
+        '{"strategy":"greedy","n":3,"c2":0.5,"trial":2,"true_k":2,"guess":2,'
+        '"outcomes":"011","success":true,"seed":11307387092600937729}\n'
+        '{"strategy":"greedy","n":3,"c2":0.5,"trial":3,"true_k":2,"guess":1,'
+        '"outcomes":"111","success":false,"seed":1344154044715485647}\n'
+    ),
+    "basic": (
+        '{"strategy":"basic","n":3,"c2":0.5,"trial":0,"true_k":3,"guess":3,'
+        '"outcomes":"000","success":true,"seed":2092789425003139053}\n'
+        '{"strategy":"basic","n":3,"c2":0.5,"trial":1,"true_k":2,"guess":2,'
+        '"outcomes":"011","success":true,"seed":12918135221727111561}\n'
+        '{"strategy":"basic","n":3,"c2":0.5,"trial":2,"true_k":2,"guess":3,'
+        '"outcomes":"001","success":false,"seed":11307387092600937729}\n'
+        '{"strategy":"basic","n":3,"c2":0.5,"trial":3,"true_k":2,"guess":3,'
+        '"outcomes":"000","success":false,"seed":1344154044715485647}\n'
+    ),
+}
+
 
 class TestGoldenOutputs:
     def test_sweep_golden_file(self, tmp_path):
@@ -49,6 +72,15 @@ class TestGoldenOutputs:
                 "--trials", "1000", "--seed", "3", "--out", str(out)]
         assert cli.main(argv) == 0
         assert out.read_bytes().decode("utf-8") == MONTECARLO_GOLDEN
+
+    @pytest.mark.parametrize("strategy", sorted(RECORDS_GOLDEN))
+    def test_records_golden_file(self, tmp_path, strategy):
+        records = tmp_path / "records.jsonl"
+        argv = ["montecarlo", "--strategy", strategy, "--n", "3", "--c2", "0.5",
+                "--trials", "4", "--seed", "3", "--out", str(tmp_path / "mc.csv"),
+                "--records", str(records)]
+        assert cli.main(argv) == 0
+        assert records.read_bytes().decode("utf-8") == RECORDS_GOLDEN[strategy]
 
     def test_output_mode_follows_umask(self, tmp_path):
         out = tmp_path / "mc.csv"
@@ -163,26 +195,48 @@ class TestConfigHandling:
         assert cli.main(argv) == 2
 
 
-class TestSpectralFailureExit:
-    def test_sweep_exit_3_and_no_partial_file(self, tmp_path, monkeypatch):
-        def boom(n, c, tol, max_iter):
-            raise SpectralFailureError("injected failure")
+class InjectedFailure(Exception):
+    pass
 
-        monkeypatch.setattr(cli, "collective_summary", boom)
+
+def _fail_after(monkeypatch, name, calls):
+    """Make cli.<name> raise InjectedFailure once it has been called `calls` times."""
+    original = getattr(cli, name)
+    seen = []
+
+    def wrapper(value):
+        seen.append(value)
+        if len(seen) > calls:
+            raise InjectedFailure(f"{name} call {len(seen)}")
+        return original(value)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return seen
+
+
+class TestFailedRunLeavesNoFile:
+    # the failure is raised inside the line iterator while writelines is
+    # writing the temp file, after the first lines have been written
+    def test_sweep_failure_mid_write(self, tmp_path, monkeypatch):
+        seen = _fail_after(monkeypatch, "_format_cell", 25)
         out = tmp_path / "sweep.csv"
-        rc = cli.main(["sweep", "--n", "5", "--c2", "0.5", "--out", str(out)])
-        assert rc == 3
+        with pytest.raises(InjectedFailure):
+            cli.main(["sweep", "--n", "2,3", "--c2", "0.2,0.5", "--out", str(out)])
+        assert len(seen) == 26
         assert not out.exists()
-        assert not list(tmp_path.iterdir())
+        assert list(tmp_path.iterdir()) == []
 
-    def test_failure_message_identifies_grid_point(self, tmp_path, monkeypatch, capsys):
-        def boom(n, c, tol, max_iter):
-            raise SpectralFailureError("injected failure")
-
-        monkeypatch.setattr(cli, "collective_summary", boom)
-        cli.main(["sweep", "--n", "7", "--c2", "0.35"])
-        err = capsys.readouterr().err
-        assert "n=7" in err and "c2=0.35" in err
+    def test_records_failure_mid_write(self, tmp_path, monkeypatch, capsys):
+        seen = _fail_after(monkeypatch, "_json_cell", 30)
+        records = tmp_path / "records.jsonl"
+        with pytest.raises(InjectedFailure):
+            cli.main(["montecarlo", "--strategy", "greedy", "--n", "4", "--c2", "0.5",
+                      "--trials", "50", "--seed", "2", "--records", str(records)])
+        assert len(seen) == 31
+        # the summary went to stdout before the records file was started
+        assert capsys.readouterr().out.startswith("strategy,")
+        assert not records.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:
