@@ -8,25 +8,31 @@ Three subcommands expose the library with stable CSV/JSONL output schemas:
 * ``spectrum``   -- eigenvalue-angle table and square-root-diagonal deviation
                     table at a single (n, c^2) point.
 * ``montecarlo`` -- seeded Monte Carlo estimates for one online strategy,
-                    with an optional per-trial JSONL audit dump.
+                    with an optional per-trial JSONL audit dump, streamed
+                    to its file in grid order.
 
 Configuration comes from an optional flat key=value file plus command-line
-flags; flags win.  Outputs are written to a temporary file and atomically
-renamed, so failures never leave partial files.
+flags; flags win.  Every output file is created under a temporary name
+before any computing starts, and all of a run's files are renamed together
+once all are complete, so a failed run leaves none of its files behind.
+An output that cannot be written ends the run with exit code 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import sys
 import tempfile
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -53,6 +59,13 @@ RECORD_COLUMNS = ("strategy", "n", "c2", "trial", "true_k", "guess", "outcomes",
 
 class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
+
+
+class _OutputError(Exception):
+    """An output file could not be created, written or renamed."""
+
+    def __init__(self, path, exc: OSError):
+        super().__init__(f"{path}: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,39 +228,96 @@ def _serialize(columns: Sequence[str], rows: Iterable[dict], fmt: str) -> Iterat
             ) + "\n"
 
 
-def _write_output(path: Optional[str], lines: Iterable[str]) -> None:
-    """Write lines to stdout, or to path through a temp file renamed at the end.
+# the record keys after the fixed (strategy, n, c2) prefix, in RECORD_COLUMNS order
+_RECORD_TAIL = ',"trial":%d,"true_k":%d,"guess":%d,"outcomes":"%s","success":%s,"seed":%d}\n'
+_JSON_BOOL = ("false", "true")
 
-    The lines are consumed inside the try block, so an error raised while
-    producing them removes the temp file and leaves no partial output.
+
+def _write_records(write, strategy: str, n: int, c2: float, trials: int, seed: int) -> int:
+    """Write one JSONL line per trial of a grid point; return the number of successes.
+
+    Each line fills one template with ``%``.  Its prefix is json.dumps's own
+    text for the point's strategy, n and c2, so a line is byte-identical to
+    ``json.dumps({col: _json_cell(v) for col in RECORD_COLUMNS})``.
     """
-    if path is None:
-        sys.stdout.writelines(lines)
-        return
-    target = Path(path)
-    directory = target.parent if str(target.parent) else Path(".")
-    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=target.name + ".", suffix=".tmp")
+    prefix = json.dumps({"strategy": strategy, "n": n, "c2": _json_cell(c2)},
+                        separators=(",", ":"))[:-1]
+    template = prefix + _RECORD_TAIL
+    successes = 0
+    for trial, record in enumerate(
+        iter_trial_records(strategy, n, math.sqrt(c2), trials, seed)
+    ):
+        successes += record.success
+        write(template % (trial, record.true_k, record.guess, record.outcomes,
+                          _JSON_BOOL[record.success], record.seed))
+    return successes
+
+
+@contextlib.contextmanager
+def _staged_outputs(*paths: Optional[str]) -> Iterator[list]:
+    """Yield a temp-file handle per path (None for None); rename all together at the end.
+
+    Every temp file is created before the caller computes anything, so an
+    unwritable path fails at once.  The files are renamed only after all of
+    them are complete; on any exception every temp file is removed, and so
+    is any file the run has already renamed, so a failed run leaves none of
+    its files.  An OSError is re-raised as _OutputError naming the output.
+    """
     umask = os.umask(0)
     os.umask(umask)
+    staged: list[tuple[Path, str, TextIO]] = []
+    renamed: list[Path] = []
+    handles: list[Optional[TextIO]] = []
+    concerned = None  # the output an OSError raised at this point is about
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            # mkstemp creates 0600; give the output the mode open() would
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.writelines(lines)
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        for path in paths:
+            handle = None
+            if path is not None:
+                concerned = target = Path(path)
+                fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".",
+                                                suffix=".tmp")
+                handle = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+                staged.append((target, tmp_name, handle))
+                # mkstemp creates 0600; give the output the mode open() would
+                os.fchmod(fd, 0o666 & ~umask)
+            handles.append(handle)
+        # the body writes only to the staged files, and a failed write does
+        # not say which one
+        concerned = " or ".join(str(target) for target, _, _ in staged) or None
+        yield handles
+        for concerned, _, handle in staged:
+            handle.close()
+        for concerned, tmp_name, _ in staged:
+            os.replace(tmp_name, concerned)
+            renamed.append(concerned)
+    except BaseException as exc:
+        for target, tmp_name, handle in staged:
+            with contextlib.suppress(OSError):
+                handle.close()
+            with contextlib.suppress(OSError):
+                os.unlink(target if target in renamed else tmp_name)
+        if isinstance(exc, OSError) and concerned is not None:
+            raise _OutputError(concerned, exc) from exc
         raise
 
 
-def _map_grid(worker, points, threads: int) -> list:
+def _map_grid(worker, points, threads: int) -> Iterator:
+    """Yield worker(point) for every point in grid order.
+
+    With several threads, at most ``threads`` points are computed or waiting
+    to be consumed at any time, so per-point results never pile up.
+    """
     if threads == 1 or len(points) <= 1:
-        return [worker(point) for point in points]
+        yield from map(worker, points)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, points))
+        pending: deque = deque()
+        for point in points:
+            if len(pending) == threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(worker, point))
+        while pending:
+            yield pending.popleft().result()
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +351,7 @@ def run_sweep(raw: dict[str, str]) -> tuple[dict, list[dict]]:
         return row
 
     points = [(n, c2) for n in n_values for c2 in c2_values]
-    rows = _map_grid(worker, points, settings["threads"])
+    rows = list(_map_grid(worker, points, settings["threads"]))
     return settings, rows
 
 
@@ -321,7 +391,13 @@ def run_spectrum_dump(raw: dict[str, str]) -> tuple[dict, list[dict]]:
     return settings, rows
 
 
-def run_montecarlo(raw: dict[str, str]) -> tuple[dict, list[dict], list[dict]]:
+def run_montecarlo(raw: dict[str, str],
+                   records: Optional[TextIO] = None) -> tuple[dict, list[dict]]:
+    """Estimate one online strategy over the grid; return (settings, summary rows).
+
+    With a ``records`` handle, every trial's JSONL line is written to it in
+    grid order, and each point's estimate is counted from those same trials.
+    """
     settings = _common_settings(raw)
     strategy = raw.get("strategy")
     if strategy not in ("basic", "greedy"):
@@ -331,41 +407,35 @@ def run_montecarlo(raw: dict[str, str]) -> tuple[dict, list[dict], list[dict]]:
     trials = _parse_int("trials", raw.get("trials", "100000"))
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    records_path = raw.get("records")
     seed = settings["seed"]
+    points = [(n, c2) for n in n_values for c2 in c2_values]
+    threads = min(settings["threads"], len(points))
 
-    def worker(point: tuple[int, float]) -> tuple[dict, list[dict]]:
+    def worker(point: tuple[int, float]) -> tuple[dict, Optional[str]]:
         n, c2 = point
-        c = math.sqrt(c2)
-        point_records: list[dict] = []
-        if records_path is None:
-            estimate, stderr = monte_carlo(strategy, n, c, trials, seed)
+        text = None
+        if records is None:
+            estimate, stderr = monte_carlo(strategy, n, math.sqrt(c2), trials, seed)
         else:
-            successes = 0
-            for trial, record in enumerate(
-                iter_trial_records(strategy, n, c, trials, seed)
-            ):
-                successes += record.success
-                point_records.append({
-                    "strategy": strategy, "n": n, "c2": c2, "trial": trial,
-                    "true_k": record.true_k, "guess": record.guess,
-                    "outcomes": record.outcomes, "success": record.success,
-                    "seed": record.seed,
-                })
-            estimate = successes / trials
+            # one thread streams into the file; several keep each point's text
+            # until the points before it are written
+            sink = records if threads == 1 else io.StringIO()
+            estimate = _write_records(sink.write, strategy, n, c2, trials, seed) / trials
             stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
+            if sink is not records:
+                text = sink.getvalue()
         row = {
             "strategy": strategy, "n": n, "c2": c2, "trials": trials,
             "estimate": estimate, "std_error": stderr, "base_seed": seed,
         }
-        return row, point_records
+        return row, text
 
-    points = [(n, c2) for n in n_values for c2 in c2_values]
-    results = _map_grid(worker, points, settings["threads"])
-    rows = [row for row, _ in results]
-    records = [record for _, point_records in results for record in point_records]
-    settings["records_path"] = records_path
-    return settings, rows, records
+    rows = []
+    for row, text in _map_grid(worker, points, threads):
+        rows.append(row)
+        if text is not None:
+            records.write(text)
+    return settings, rows
 
 
 # ---------------------------------------------------------------------------
@@ -420,21 +490,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         raw = _merge_config(args, args.subcommand)
-        if args.subcommand == "sweep":
-            settings, rows = run_sweep(raw)
-            columns = SWEEP_COLUMNS
-        elif args.subcommand == "spectrum":
-            settings, rows = run_spectrum_dump(raw)
-            columns = SPECTRUM_COLUMNS
-        else:
-            settings, rows, records = run_montecarlo(raw)
-            columns = MONTECARLO_COLUMNS
-        _write_output(settings["out"], _serialize(columns, rows, settings["format"]))
-        if settings.get("records_path") is not None:
-            _write_output(settings["records_path"], _serialize(RECORD_COLUMNS, records, "jsonl"))
+        with _staged_outputs(raw.get("out"), raw.get("records")) as (out, records):
+            if args.subcommand == "sweep":
+                settings, rows = run_sweep(raw)
+                columns = SWEEP_COLUMNS
+            elif args.subcommand == "spectrum":
+                settings, rows = run_spectrum_dump(raw)
+                columns = SPECTRUM_COLUMNS
+            else:
+                settings, rows = run_montecarlo(raw, records)
+                columns = MONTECARLO_COLUMNS
+            lines = _serialize(columns, rows, settings["format"])
+            if out is not None:
+                out.writelines(lines)
+        if out is None:
+            sys.stdout.writelines(lines)
     except ConfigError as exc:
         print(f"qchangepoint: config error: {exc}", file=sys.stderr)
         return 2
+    except _OutputError as exc:
+        print(f"qchangepoint: cannot write {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

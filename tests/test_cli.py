@@ -1,15 +1,18 @@
 """Tests for the command-line experiment runner."""
 
+import errno
 import json
 import math
 import os
 import stat
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qchangepoint.cli as cli
-from qchangepoint.online import basic_local_closed_form
+from qchangepoint.online import TrialRecord, basic_local_closed_form
 
 SWEEP_GOLDEN = (
     "n,c2,lower_bound,srm,fixed_point_opt,upper_bound,asymptotic,"
@@ -227,16 +230,139 @@ class TestFailedRunLeavesNoFile:
         assert list(tmp_path.iterdir()) == []
 
     def test_records_failure_mid_write(self, tmp_path, monkeypatch, capsys):
-        seen = _fail_after(monkeypatch, "_json_cell", 30)
-        records = tmp_path / "records.jsonl"
+        # the records stream fails after 30 lines; neither the summary nor the
+        # records file of the run may remain
+        original = cli.iter_trial_records
+        yielded = []
+
+        def failing(*args, **kwargs):
+            for record in original(*args, **kwargs):
+                if len(yielded) == 30:
+                    raise InjectedFailure("record 31")
+                yielded.append(record)
+                yield record
+
+        monkeypatch.setattr(cli, "iter_trial_records", failing)
         with pytest.raises(InjectedFailure):
             cli.main(["montecarlo", "--strategy", "greedy", "--n", "4", "--c2", "0.5",
-                      "--trials", "50", "--seed", "2", "--records", str(records)])
-        assert len(seen) == 31
-        # the summary went to stdout before the records file was started
-        assert capsys.readouterr().out.startswith("strategy,")
-        assert not records.exists()
+                      "--trials", "50", "--seed", "2", "--out", str(tmp_path / "mc.csv"),
+                      "--records", str(tmp_path / "records.jsonl")])
+        assert len(yielded) == 30
+        assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "2", "--c2", "0.3", "--out", "{missing}/x.csv"],
+        ["montecarlo", "--strategy", "greedy", "--n", "3", "--c2", "0.5", "--trials", "10",
+         "--out", "{tmp}/mc.csv", "--records", "{missing}/r.jsonl"],
+    ])
+    def test_fails_before_computing(self, tmp_path, monkeypatch, capsys, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before the outputs were created")
+
+        for name in ("collective_summary", "monte_carlo", "iter_trial_records"):
+            monkeypatch.setattr(cli, name, never)
+        argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"qchangepoint: cannot write {tmp_path / 'missing'}/")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_removes_every_file(self, tmp_path, capsys):
+        # --out is renamed first; the records target is a directory, so its
+        # rename fails and the run's summary file is removed again
+        (tmp_path / "records").mkdir()
+        argv = ["montecarlo", "--strategy", "basic", "--n", "3", "--c2", "0.5", "--trials", "10",
+                "--out", str(tmp_path / "mc.csv"), "--records", str(tmp_path / "records")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith(
+            f"qchangepoint: cannot write {tmp_path / 'records'}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["records"]
+        assert list((tmp_path / "records").iterdir()) == []
+
+    def test_write_error_names_the_outputs(self, tmp_path, monkeypatch, capsys):
+        def disk_full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_write_records", disk_full)
+        out, records = tmp_path / "mc.csv", tmp_path / "r.jsonl"
+        assert cli.main(["montecarlo", "--strategy", "basic", "--n", "3", "--c2", "0.5",
+                         "--trials", "10", "--out", str(out), "--records", str(records)]) == 3
+        assert capsys.readouterr().err == (
+            f"qchangepoint: cannot write {out} or {records}: {os.strerror(errno.ENOSPC)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRecordTemplate:
+    @pytest.mark.parametrize("strategy", ["basic", "greedy"])
+    def test_lines_equal_the_serializer(self, tmp_path, monkeypatch, strategy):
+        # the template's text against json.dumps of the same record, at extreme
+        # seeds, both success values and c2 values whose text needs 12 digits
+        fakes = [TrialRecord(true_k=k, guess=g, outcomes=bits, success=g == k, seed=seed)
+                 for k, g, bits, seed in [(1, 1, "0", 0), (1, 2, "1", 2**64 - 1),
+                                          (2, 1, "10", 2**64 - 1), (3, 3, "011", 0)]]
+        monkeypatch.setattr(cli, "iter_trial_records", lambda *args: iter(fakes))
+        c2_values = [0.0, 1e-05, 0.123456789012345, 0.95]
+        records = tmp_path / "records.jsonl"
+        assert cli.main(["montecarlo", "--strategy", strategy, "--n", "1,12",
+                         "--c2", ",".join(map(repr, c2_values)), "--trials", str(len(fakes)),
+                         "--out", str(tmp_path / "mc.csv"), "--records", str(records)]) == 0
+        expected = []
+        for n in (1, 12):
+            for c2 in c2_values:
+                for trial, fake in enumerate(fakes):
+                    values = (strategy, n, c2, trial, fake.true_k, fake.guess, fake.outcomes,
+                              fake.success, fake.seed)
+                    row = {col: cli._json_cell(v) for col, v in zip(cli.RECORD_COLUMNS, values)}
+                    expected.append(json.dumps(row, separators=(",", ":")) + "\n")
+        assert records.read_text(encoding="utf-8") == "".join(expected)
+
+    def test_greedy_records_threads_byte_identical(self, tmp_path):
+        argv = ["montecarlo", "--strategy", "greedy", "--n", "3,7", "--c2", "0.2,0.8",
+                "--trials", "300", "--seed", "5"]
+        outputs = []
+        for threads in ("1", "3"):
+            out, records = tmp_path / f"mc{threads}.csv", tmp_path / f"r{threads}.jsonl"
+            assert cli.main(argv + ["--threads", threads, "--out", str(out),
+                                    "--records", str(records)]) == 0
+            outputs.append((out.read_bytes(), records.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count(b"\n") == 4 * 300
+
+    def test_threads_hold_a_bounded_number_of_points(self):
+        lock = threading.Lock()
+        started, consumed, backlog = [], [], []
+
+        def worker(point):
+            with lock:
+                started.append(point)
+            return point
+
+        for point in cli._map_grid(worker, list(range(12)), 3):
+            with lock:
+                backlog.append(len(started) - len(consumed))
+            consumed.append(point)
+        assert consumed == list(range(12))
+        assert max(backlog) <= 3
+
+    def test_records_memory_is_flat(self, tmp_path):
+        # the records are streamed: the peak stays near the engine's own
+        # chunk buffers (about 17.5 MB) for 200000 records (about 36 MB of text)
+        records = tmp_path / "records.jsonl"
+        tracemalloc.start()
+        try:
+            rc = cli.main(["montecarlo", "--strategy", "greedy", "--n", "50", "--c2", "0.5",
+                           "--trials", "200000", "--out", str(tmp_path / "mc.csv"),
+                           "--records", str(records)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert records.stat().st_size > 30e6
+        assert peak < 40e6
 
 
 class TestDeterminism:
