@@ -56,7 +56,7 @@ from .online import (
     simulate_greedy_trial,
 )
 from .rng import CounterRng, mix64, trial_seed
-from .special import boundary_polynomial, chebyshev_u, elliptic_k, phase_amplitude
+from .special import boundary_polynomial, elliptic_k, phase_amplitude
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "bayes_update",
     "boundary_polynomial",
     "build_gram",
-    "chebyshev_u",
     "collective_summary",
     "diag_deviation_asymptotic",
     "elliptic_k",

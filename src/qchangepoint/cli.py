@@ -12,10 +12,11 @@ Three subcommands expose the library with stable CSV/JSONL output schemas:
                     to its file in grid order.
 
 Configuration comes from an optional flat key=value file plus command-line
-flags; flags win.  Every output file is created under a temporary name
-before any computing starts, and all of a run's files are renamed together
-once all are complete, so a failed run leaves none of its files behind.
-An output that cannot be written ends the run with exit code 3.
+flags; flags win.  The whole configuration is checked first.  Then every
+output file is created under a temporary name before any computing starts,
+and all of a run's files are renamed together once all are complete, so a
+failed run leaves none of its files behind.  An output that cannot be
+written ends the run with exit code 3.
 """
 
 from __future__ import annotations
@@ -86,6 +87,13 @@ def _parse_float(key: str, raw: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
 
 
+def _int_at_least(raw: dict[str, str], key: str, default: str, low: int) -> int:
+    value = _parse_int(key, raw.get(key, default))
+    if value < low:
+        raise ConfigError(f"{key} must be >= {low}, got {value}")
+    return value
+
+
 def _parse_int_list(key: str, raw: str) -> list[int]:
     return [_parse_int(key, part) for part in raw.split(",") if part.strip()]
 
@@ -141,9 +149,7 @@ def _common_settings(raw: dict[str, str]) -> dict:
     seed = _parse_int("seed", raw.get("seed", "0"))
     if not 0 <= seed < _MAX_SEED:
         raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
-    threads = _parse_int("threads", raw.get("threads", "1"))
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    threads = _int_at_least(raw, "threads", "1", 1)
     return {"out": out, "format": fmt, "seed": seed, "threads": threads}
 
 
@@ -158,9 +164,7 @@ def _c2_grid(raw: dict[str, str]) -> list[float]:
             raise ConfigError(f"incomplete c2 range, missing {', '.join(missing)}")
         start = _parse_float("c2_start", raw["c2_start"])
         stop = _parse_float("c2_stop", raw["c2_stop"])
-        count = _parse_int("c2_count", raw["c2_count"])
-        if count < 1:
-            raise ConfigError(f"c2_count must be >= 1, got {count}")
+        count = _int_at_least(raw, "c2_count", "", 1)
         grid = [float(v) for v in np.linspace(start, stop, count)]
     elif has_list:
         grid = _parse_float_list("c2", raw["c2"])
@@ -174,14 +178,15 @@ def _c2_grid(raw: dict[str, str]) -> list[float]:
     return grid
 
 
-def _n_list(raw: dict[str, str]) -> list[int]:
-    values = _parse_int_list("n", raw.get("n", ""))
-    if not values:
+def _grid_points(raw: dict[str, str]) -> list[tuple[int, float]]:
+    n_values = _parse_int_list("n", raw.get("n", ""))
+    if not n_values:
         raise ConfigError("empty n grid")
-    for value in values:
+    for value in n_values:
         if value < 1:
             raise ConfigError(f"n values must be >= 1, got {value}")
-    return values
+    c2_values = _c2_grid(raw)
+    return [(n, c2) for n in n_values for c2 in c2_values]
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +329,39 @@ def _map_grid(worker, points, threads: int) -> Iterator:
 # subcommands
 
 
-def run_sweep(raw: dict[str, str]) -> tuple[dict, list[dict]]:
+def _sweep_config(raw: dict[str, str]) -> tuple[dict, list, int, float, int]:
     settings = _common_settings(raw)
-    n_values = _n_list(raw)
-    c2_values = _c2_grid(raw)
-    trials = _parse_int("trials", raw.get("trials", "0"))
-    if trials < 0:
-        raise ConfigError(f"trials must be >= 0, got {trials}")
+    points = _grid_points(raw)
+    trials = _int_at_least(raw, "trials", "0", 0)
     fp_tol = _parse_float("fp_tol", raw.get("fp_tol", "1e-10"))
     if fp_tol <= 0.0:
         raise ConfigError(f"fp_tol must be > 0, got {fp_tol}")
-    fp_max_iter = _parse_int("fp_max_iter", raw.get("fp_max_iter", "10000"))
-    if fp_max_iter < 1:
-        raise ConfigError(f"fp_max_iter must be >= 1, got {fp_max_iter}")
+    return settings, points, trials, fp_tol, _int_at_least(raw, "fp_max_iter", "10000", 1)
+
+
+def _spectrum_config(raw: dict[str, str]) -> tuple[dict, int, float, int]:
+    settings = _common_settings(raw)
+    points = _grid_points(raw)
+    if len(points) != 1:
+        raise ConfigError("spectrum expects a single n and a single c2")
+    (n, c2), = points
+    kmax = _parse_int("kmax", raw.get("kmax", str(min(n, 15))))
+    if not 1 <= kmax <= n:
+        raise ConfigError(f"kmax must lie in [1, n={n}], got {kmax}")
+    return settings, n, c2, kmax
+
+
+def _montecarlo_config(raw: dict[str, str]) -> tuple[dict, str, list, int]:
+    settings = _common_settings(raw)
+    strategy = raw.get("strategy")
+    if strategy not in ("basic", "greedy"):
+        raise ConfigError(f"strategy must be basic or greedy, got {strategy!r}")
+    points = _grid_points(raw)
+    return settings, strategy, points, _int_at_least(raw, "trials", "100000", 1)
+
+
+def run_sweep(raw: dict[str, str]) -> tuple[dict, list[dict]]:
+    settings, points, trials, fp_tol, fp_max_iter = _sweep_config(raw)
 
     def worker(point: tuple[int, float]) -> dict:
         n, c2 = point
@@ -350,21 +375,12 @@ def run_sweep(raw: dict[str, str]) -> tuple[dict, list[dict]]:
             row["greedy_stderr"] = stderr
         return row
 
-    points = [(n, c2) for n in n_values for c2 in c2_values]
     rows = list(_map_grid(worker, points, settings["threads"]))
     return settings, rows
 
 
 def run_spectrum_dump(raw: dict[str, str]) -> tuple[dict, list[dict]]:
-    settings = _common_settings(raw)
-    n_values = _n_list(raw)
-    c2_values = _c2_grid(raw)
-    if len(n_values) != 1 or len(c2_values) != 1:
-        raise ConfigError("spectrum expects a single n and a single c2")
-    n, c2 = n_values[0], c2_values[0]
-    kmax = _parse_int("kmax", raw.get("kmax", str(min(n, 15))))
-    if not 1 <= kmax <= n:
-        raise ConfigError(f"kmax must lie in [1, n={n}], got {kmax}")
+    settings, n, c2, kmax = _spectrum_config(raw)
     c = math.sqrt(c2)
     spectrum = solve_spectrum(n, c)
     # only the printed diagonal of sqrt(G), not the whole matrix
@@ -398,17 +414,8 @@ def run_montecarlo(raw: dict[str, str],
     With a ``records`` handle, every trial's JSONL line is written to it in
     grid order, and each point's estimate is counted from those same trials.
     """
-    settings = _common_settings(raw)
-    strategy = raw.get("strategy")
-    if strategy not in ("basic", "greedy"):
-        raise ConfigError(f"strategy must be basic or greedy, got {strategy!r}")
-    n_values = _n_list(raw)
-    c2_values = _c2_grid(raw)
-    trials = _parse_int("trials", raw.get("trials", "100000"))
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    settings, strategy, points, trials = _montecarlo_config(raw)
     seed = settings["seed"]
-    points = [(n, c2) for n in n_values for c2 in c2_values]
     threads = min(settings["threads"], len(points))
 
     def worker(point: tuple[int, float]) -> tuple[dict, Optional[str]]:
@@ -490,6 +497,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         raw = _merge_config(args, args.subcommand)
+        # the whole configuration is checked before any output file exists
+        {"sweep": _sweep_config, "spectrum": _spectrum_config,
+         "montecarlo": _montecarlo_config}[args.subcommand](raw)
         with _staged_outputs(raw.get("out"), raw.get("records")) as (out, records):
             if args.subcommand == "sweep":
                 settings, rows = run_sweep(raw)

@@ -5,6 +5,10 @@ optimal identification probability, the square-root-measurement value, the
 closed-form large-n asymptote, and a fixed-point solver for the optimal POVM.
 The solver stops when its gain falls below a tolerance; it is not monotone,
 and a step that lowers the value ends it unconverged at the best iterate.
+
+Every square root comes from ``gram._symmetric_root``, and the bounds exist
+once, in the three bound functions; ``collective_summary`` applies them to
+W = G/n built from the closed-form spectrum.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateEnsembleError
-from .gram import solve_spectrum, sqrt_gram
+from .gram import _RANK_TOL, _symmetric_root, build_gram, solve_spectrum
 from .special import elliptic_k
 
 __all__ = [
@@ -33,7 +37,6 @@ __all__ = [
 ]
 
 _PRIOR_TOL = 1e-12
-_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,15 @@ class CollectiveSummary:
     asymptotic: float
 
 
+def _checked_priors(priors: np.ndarray, n: int) -> np.ndarray:
+    priors = np.asarray(priors, dtype=float)
+    if priors.shape != (n,):
+        raise ValueError(f"priors shape {priors.shape} does not match n={n}")
+    if np.any(priors < 0.0) or abs(priors.sum() - 1.0) > _PRIOR_TOL:
+        raise ValueError("priors must be nonnegative and sum to 1")
+    return priors
+
+
 def weighted_gram(gram: np.ndarray, priors: np.ndarray) -> WeightedGram:
     """Weight the Gram matrix by priors and take its square root.
 
@@ -98,29 +110,11 @@ def weighted_gram(gram: np.ndarray, priors: np.ndarray) -> WeightedGram:
     ones are clamped to zero.
     """
     gram = np.asarray(gram, dtype=float)
-    priors = np.asarray(priors, dtype=float)
-    n = gram.shape[0]
-    if priors.shape != (n,):
-        raise ValueError(f"priors shape {priors.shape} does not match n={n}")
-    if np.any(priors < 0.0) or abs(priors.sum() - 1.0) > _PRIOR_TOL:
-        raise ValueError("priors must be nonnegative and sum to 1")
-    root_p = np.sqrt(priors)
+    root_p = np.sqrt(_checked_priors(priors, gram.shape[0]))
     w = root_p[:, np.newaxis] * gram * root_p[np.newaxis, :]
-    eigenvalues, eigenvectors = np.linalg.eigh(w)
-    lam_max = float(eigenvalues[-1])
-    rank_deficient = bool(eigenvalues[0] <= _RANK_TOL * max(lam_max, 1.0))
-    clamped = np.clip(eigenvalues, 0.0, None)
-    sqrt_w = eigenvectors @ (np.sqrt(clamped)[:, np.newaxis] * eigenvectors.T)
-    sqrt_w = 0.5 * (sqrt_w + sqrt_w.T)
-    diag = np.diag(sqrt_w)
-    return WeightedGram(
-        n=n,
-        matrix=w,
-        sqrt_matrix=sqrt_w,
-        q=diag / diag.sum(),
-        lambda_max=lam_max,
-        rank_deficient=rank_deficient,
-    )
+    root, q, lambda_max, rank_deficient = _symmetric_root(*np.linalg.eigh(w))
+    return WeightedGram(n=w.shape[0], matrix=w, sqrt_matrix=root.matrix, q=q,
+                        lambda_max=lambda_max, rank_deficient=rank_deficient)
 
 
 def success_lower_bound(weighted: WeightedGram) -> float:
@@ -159,14 +153,13 @@ def embed_states(gram: np.ndarray) -> np.ndarray:
     Returns sqrt(G); column k is the k-th state, so pairwise inner products
     reproduce the Gram matrix exactly.
     """
-    gram = np.asarray(gram, dtype=float)
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)
-    if eigenvalues[0] <= _RANK_TOL * max(float(eigenvalues[-1]), 1.0):
+    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(gram, dtype=float))
+    root, _, _, rank_deficient = _symmetric_root(eigenvalues, eigenvectors)
+    if rank_deficient:
         raise DegenerateEnsembleError(
             f"Gram matrix is rank deficient (min eigenvalue {eigenvalues[0]:.3e})"
         )
-    root = eigenvectors @ (np.sqrt(eigenvalues)[:, np.newaxis] * eigenvectors.T)
-    return 0.5 * (root + root.T)
+    return root.matrix
 
 
 def optimal_povm_fixed_point(
@@ -195,10 +188,8 @@ def optimal_povm_fixed_point(
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     states = np.asarray(states, dtype=float)
-    priors = np.asarray(priors, dtype=float)
     n = states.shape[1]
-    if np.any(priors < 0.0) or abs(priors.sum() - 1.0) > _PRIOR_TOL:
-        raise ValueError("priors must be nonnegative and sum to 1")
+    priors = _checked_priors(priors, n)
     gram = states.T @ states
 
     def steer(weights: np.ndarray):
@@ -255,25 +246,21 @@ def collective_summary(
 ) -> CollectiveSummary:
     """All collective figures at one (n, c) point under uniform priors.
 
-    Goes through the closed-form spectrum, so W = G/n quantities come out of
-    the Chebyshev-root eigendecomposition rather than a numerical eigensolver.
+    No numerical eigensolver runs: W = G/n comes from the closed-form spectrum,
+    with sqrt(W) = sqrt(G)/sqrt(n), and the solver is fed the states sqrt(G).
     """
     spectrum = solve_spectrum(n, c)
-    root = sqrt_gram(spectrum)
-    lower = (root.trace / n) ** 2
-    srm = float((root.diag**2).sum()) / n
-    q = root.diag / root.trace
-    lam_max_w = float(spectrum.lambdas.max()) / n
-    upper = lower + math.sqrt(n * lam_max_w) * float(np.abs(q - 1.0 / n).sum())
-    result = optimal_povm_fixed_point(
-        root.matrix, np.full(n, 1.0 / n), tol=tol, max_iter=max_iter
-    )
+    root, q, lambda_max, rank_deficient = _symmetric_root(spectrum.lambdas, spectrum.eigvecs)
+    uniform = WeightedGram(n=n, matrix=build_gram(n, c) / n,
+                           sqrt_matrix=root.matrix / math.sqrt(n), q=q,
+                           lambda_max=lambda_max / n, rank_deficient=rank_deficient)
+    result = optimal_povm_fixed_point(root.matrix, np.full(n, 1.0 / n), tol=tol, max_iter=max_iter)
     return CollectiveSummary(
         n=n,
         c=c,
-        lower_bound=lower,
-        srm=srm,
+        lower_bound=success_lower_bound(uniform),
+        srm=srm_success(uniform),
         fixed_point_opt=result.success_probability,
-        upper_bound=upper,
+        upper_bound=success_upper_bound(uniform),
         asymptotic=asymptotic_pmax(c),
     )

@@ -4,9 +4,9 @@ The n source states (change at position k) have pairwise overlaps c^{|i-j|},
 a symmetric Toeplitz Gram matrix whose inverse is tridiagonal up to two
 corner corrections.  Eigenvalue angles are the zeros of the boundary
 polynomial; each has an analytic bracket of width pi/(n+1), and all n are
-bisected at once to full float precision.  A hand-rolled cyclic Jacobi
-eigensolver is kept as the independent test oracle; the library does not
-call it.
+bisected at once to full float precision.  Every collective figure is
+read off one square-root step, ``_symmetric_root``, fed by this spectrum or
+by LAPACK.  A round-robin Jacobi eigensolver is the test oracle only.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 
 from .exceptions import DegenerateEnsembleError, SpectralFailureError
 from .special import elliptic_k
@@ -35,6 +36,7 @@ __all__ = [
 
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 60
+_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,9 @@ class SqrtGram:
     trace: float
 
 
-def _check_overlap(c: float) -> None:
+def _check_overlap(c: float, n: int = 1) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if c < 0.0:
         raise ValueError(f"overlap c must be >= 0, got {c}")
     if c >= 1.0:
@@ -77,12 +81,8 @@ def build_gram(n: int, c: float, include_no_change: bool = False) -> np.ndarray:
     the default state) is appended; it behaves exactly like a change at
     position n+1, so the matrix is the same Toeplitz form one size larger.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_overlap(c)
-    size = n + 1 if include_no_change else n
-    idx = np.arange(size)
-    return c ** np.abs(np.subtract.outer(idx, idx)).astype(float)
+    _check_overlap(c, n)
+    return toeplitz(c ** np.arange(n + 1 if include_no_change else n, dtype=float))
 
 
 def gram_inverse(n: int, c: float) -> np.ndarray:
@@ -91,9 +91,7 @@ def gram_inverse(n: int, c: float) -> np.ndarray:
     G^{-1} = (1+c^2)/(1-c^2) I - c/(1-c^2) H where H has unit first
     off-diagonals and corner entries c at (1,1) and (n,n).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_overlap(c)
+    _check_overlap(c, n)
     h = np.zeros((n, n))
     off = np.arange(n - 1)
     h[off, off + 1] = 1.0
@@ -114,9 +112,7 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
     sin(j theta) - c sin((j-1) theta) equal R sin(j theta + phi) with R > 0,
     so they are built from one sine each and normalized by their summed norm.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_overlap(c)
+    _check_overlap(c, n)
     j = np.arange(1, n + 1)
     if c == 0.0:
         thetas = j * math.pi / (n + 1.0)
@@ -146,18 +142,35 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
     return GramSpectrum(n=n, c=c, thetas=thetas, lambdas=lambdas, eigvecs=vecs)
 
 
+def _symmetric_root(
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray
+) -> tuple[SqrtGram, np.ndarray, float, bool]:
+    """Root V diag(sqrt(lambda)) V^T, symmetrised, with its diagonal and trace;
+    q = diag/diag.sum(), lambda_max, and the rank flag lambda_min <= 1e-12
+    max(lambda_max, 1).  Negative eigenvalues count as zero."""
+    lambda_max = float(eigenvalues.max())
+    root_values = np.sqrt(np.clip(eigenvalues, 0.0, None))
+    root = eigenvectors @ (root_values[:, np.newaxis] * eigenvectors.T)
+    root = 0.5 * (root + root.T)
+    diag = np.diag(root).copy()
+    rank_deficient = bool(eigenvalues.min() <= _RANK_TOL * max(lambda_max, 1.0))
+    return (SqrtGram(matrix=root, diag=diag, trace=float(root_values.sum())),
+            diag / diag.sum(), lambda_max, rank_deficient)
+
+
 def sqrt_gram(spectrum: GramSpectrum) -> SqrtGram:
     """Matrix square root synthesized from the spectral decomposition."""
-    root = spectrum.eigvecs @ (np.sqrt(spectrum.lambdas)[:, np.newaxis] * spectrum.eigvecs.T)
-    root = 0.5 * (root + root.T)
-    return SqrtGram(matrix=root, diag=np.diag(root).copy(), trace=float(np.sqrt(spectrum.lambdas).sum()))
+    return _symmetric_root(spectrum.lambdas, spectrum.eigvecs)[0]
 
 
 def jacobi_eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classical cyclic Jacobi diagonalization of a real symmetric matrix.
+    """Cyclic Jacobi diagonalization of a real symmetric matrix.
 
     Independent oracle for the closed-form spectrum: sweeps of plane
-    rotations until the off-diagonal Frobenius norm falls below 1e-12.
+    rotations until the off-diagonal Frobenius norm falls below 1e-12.  A
+    sweep runs in round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput.
+    6, 1985): each round pairs the indices disjointly, so its n/2 rotations
+    commute and are applied at once.
     Returns eigenvalues ascending and the matching eigenvectors as columns.
     """
     a = np.asarray(matrix, dtype=float)
@@ -167,38 +180,35 @@ def jacobi_eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.allclose(a, a.T, atol=1e-12 * max(scale, 1.0), rtol=0.0):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy(), np.ones((1, 1))
     a = 0.5 * (a + a.T)
     vecs = np.eye(n)
     skip_tol = 1e-16 * max(scale, 1.0)
+    # tournament pairings: index 0 stays, the rest rotate one place per round;
+    # with n odd, the extra index n sits out its round
+    m = n + n % 2
+    seats = np.arange(m)
+    rounds = []
+    for _ in range(m - 1):
+        p, q = seats[: m // 2], seats[: m // 2 - 1 : -1]
+        playing = (p < n) & (q < n)
+        rounds.append((p[playing], q[playing]))
+        seats = np.concatenate(([0], np.roll(seats[1:], 1)))
+
     for _ in range(_JACOBI_MAX_SWEEPS):
         off = math.sqrt(2.0 * (np.triu(a, 1) ** 2).sum())
         if off < _JACOBI_OFF_TOL:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_tol:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                cos_r = 1.0 / math.hypot(1.0, t)
-                sin_r = t * cos_r
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = cos_r * col_p - sin_r * col_q
-                a[:, q] = sin_r * col_p + cos_r * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = cos_r * row_p - sin_r * row_q
-                a[q, :] = sin_r * row_p + cos_r * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = vecs[:, p].copy()
-                vec_q = vecs[:, q].copy()
-                vecs[:, p] = cos_r * vec_p - sin_r * vec_q
-                vecs[:, q] = sin_r * vec_p + cos_r * vec_q
+        for p, q in rounds:
+            apq = a[p, q]
+            active = np.abs(apq) > skip_tol
+            tau = (a[q, q] - a[p, p]) / (2.0 * np.where(active, apq, 1.0))
+            t = np.where(active, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
+            cos_r = 1.0 / np.hypot(1.0, t)
+            sin_r = t * cos_r
+            for x in (a, a.T, vecs):  # columns, then rows, of a; columns of vecs
+                x_p, x_q = x[:, p], x[:, q]
+                x[:, p], x[:, q] = cos_r * x_p - sin_r * x_q, sin_r * x_p + cos_r * x_q
+            a[p, q] = a[q, p] = 0.0
     else:
         raise SpectralFailureError(
             f"Jacobi sweeps did not reach off-diagonal norm {_JACOBI_OFF_TOL} "

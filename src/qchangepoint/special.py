@@ -1,8 +1,14 @@
 """Scalar special-function kernel.
 
-Chebyshev polynomials of the second kind, the characteristic polynomial of
-the boundary-perturbed tridiagonal matrix, its phase/amplitude form on the
-unit circle, and the complete elliptic integral of the first kind.
+The characteristic polynomial of the boundary-perturbed tridiagonal matrix,
+its phase/amplitude form on the unit circle, and the complete elliptic
+integral of the first kind.
+
+The library solves the spectrum from the boundary phase (``gram``), so the
+first two have no library caller.  ``boundary_polynomial`` stays as the
+independent oracle for the bisected angles.  ``phase_amplitude`` stays
+because the tests check its identity with the polynomial and the benchmark
+in ``perfbench/`` counts its calls.
 """
 
 from __future__ import annotations
@@ -10,7 +16,6 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "chebyshev_u",
     "boundary_polynomial",
     "phase_amplitude",
     "elliptic_k",
@@ -18,22 +23,6 @@ __all__ = [
 
 _AGM_RTOL = 1e-15
 _AGM_MAX_ITER = 60
-
-
-def chebyshev_u(degree: int, x: float) -> float:
-    """Chebyshev polynomial of the second kind U_degree(x).
-
-    Forward recurrence U_n = 2x U_{n-1} - U_{n-2} with U_{-1} = 0, U_0 = 1.
-    For x = cos(theta) this equals sin((degree+1) theta) / sin(theta).
-    """
-    if degree < -1:
-        raise ValueError(f"degree must be >= -1, got {degree}")
-    if degree == -1:
-        return 0.0
-    prev, cur = 0.0, 1.0
-    for _ in range(degree):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
 
 
 def boundary_polynomial(n: int, c: float, x: float) -> float:

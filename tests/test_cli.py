@@ -193,6 +193,10 @@ class TestConfigHandling:
         ["sweep", "--n", "2", "--c2", "0.5", "--threads", "0"],
         ["montecarlo", "--strategy", "basic", "--n", "2", "--c2", "0.5", "--trials", "0"],
         ["montecarlo", "--n", "2", "--c2", "0.5"],      # missing strategy
+        # a configuration error is reported before any output file is made
+        ["sweep", "--n", "0", "--c2", "0.5", "--out", "/nonexistent/x.csv"],
+        ["montecarlo", "--strategy", "basic", "--n", "2", "--c2", "0.5", "--trials", "0",
+         "--records", "/nonexistent/r.jsonl"],
     ])
     def test_invalid_configs_exit_2(self, argv):
         assert cli.main(argv) == 2

@@ -284,6 +284,14 @@ class TestFixedPointSolver:
         with pytest.raises(ValueError):
             optimal_povm_fixed_point(np.eye(2), uniform(2), tol=0.0)
 
+    def test_rejects_bad_priors(self):
+        # the priors check of weighted_gram, shape included: one prior for
+        # three states used to broadcast silently
+        with pytest.raises(ValueError):
+            optimal_povm_fixed_point(np.eye(3), np.array([1.0]))
+        with pytest.raises(ValueError):
+            optimal_povm_fixed_point(np.eye(2), np.array([1.5, -0.5]))
+
 
 class TestCollectiveSummary:
     def test_matches_weighted_gram_route(self):

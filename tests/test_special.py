@@ -6,44 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qchangepoint.special import (
-    boundary_polynomial,
-    chebyshev_u,
-    elliptic_k,
-    phase_amplitude,
-)
+from qchangepoint.special import boundary_polynomial, elliptic_k, phase_amplitude
 
 
 def _delta_grid(thetas: np.ndarray, c: float) -> np.ndarray:
     """Vectorized phase oracle used for sign counting on large grids."""
     d = np.arctan2((1 - c * c) * np.sin(thetas), (1 + c * c) * np.cos(thetas) - 2 * c)
     return np.where(d <= 0.0, d + math.pi, d)
-
-
-class TestChebyshevU:
-    def test_low_orders(self):
-        for x in (-0.9, -0.3, 0.0, 0.5, 0.99):
-            assert chebyshev_u(1, x) == pytest.approx(2 * x, abs=1e-15)
-            assert chebyshev_u(2, x) == pytest.approx(4 * x * x - 1, abs=1e-14)
-        assert chebyshev_u(-1, 0.3) == 0.0
-        assert chebyshev_u(0, 0.3) == 1.0
-
-    def test_degree_three_against_trig(self):
-        # theta = pi/3: sin(4 theta)/sin(theta) = -1
-        theta = math.pi / 3
-        oracle = math.sin(4 * theta) / math.sin(theta)
-        assert oracle == pytest.approx(-1.0, abs=1e-15)
-        assert chebyshev_u(3, 0.5) == pytest.approx(oracle, abs=1e-14)
-
-    def test_invalid_degree(self):
-        with pytest.raises(ValueError):
-            chebyshev_u(-2, 0.5)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 50, 100, 250, 500])
-    def test_recurrence_matches_trig_form(self, n):
-        for theta in np.linspace(0.01, math.pi - 0.01, 41):
-            trig = math.sin((n + 1) * theta) / math.sin(theta)
-            assert abs(chebyshev_u(n, math.cos(theta)) - trig) < 1e-10
 
 
 class TestBoundaryPolynomial:
@@ -53,10 +22,12 @@ class TestBoundaryPolynomial:
             assert boundary_polynomial(1, c, 0.9) == pytest.approx(2 * 0.9 - 2 * c, abs=1e-15)
 
     def test_c_zero_reduces_to_chebyshev(self):
+        # at c = 0 the polynomial is U_n(cos theta) = sin((n+1) theta) / sin(theta)
         for n in (1, 2, 5, 9):
             for x in (-0.8, 0.1, 0.6):
+                theta = math.acos(x)
                 assert boundary_polynomial(n, 0.0, x) == pytest.approx(
-                    chebyshev_u(n, x), abs=1e-12
+                    math.sin((n + 1) * theta) / math.sin(theta), abs=1e-12
                 )
 
     def test_n2_eigenvalue_case(self):
