@@ -40,14 +40,10 @@ from .gram import (
     sqrt_trace_limit,
 )
 from .online import (
-    GreedyPriors,
-    PosteriorDistribution,
     TrialRecord,
     TwoOutcomeMeasurement,
     basic_local_closed_form,
-    bayes_update,
     exact_greedy_enumeration,
-    greedy_priors,
     helstrom_measurement,
     iter_trial_records,
     monte_carlo,
@@ -65,9 +61,7 @@ __all__ = [
     "CounterRng",
     "DegenerateEnsembleError",
     "GramSpectrum",
-    "GreedyPriors",
     "ImpossibleOutcomeError",
-    "PosteriorDistribution",
     "PovmSolverResult",
     "SpectralFailureError",
     "SqrtGram",
@@ -76,7 +70,6 @@ __all__ = [
     "WeightedGram",
     "asymptotic_pmax",
     "basic_local_closed_form",
-    "bayes_update",
     "boundary_polynomial",
     "build_gram",
     "collective_summary",
@@ -85,7 +78,6 @@ __all__ = [
     "embed_states",
     "exact_greedy_enumeration",
     "gram_inverse",
-    "greedy_priors",
     "helstrom_measurement",
     "integral_i_r",
     "iter_trial_records",

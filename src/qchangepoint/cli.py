@@ -360,8 +360,8 @@ def _montecarlo_config(raw: dict[str, str]) -> tuple[dict, str, list, int]:
     return settings, strategy, points, _int_at_least(raw, "trials", "100000", 1)
 
 
-def run_sweep(raw: dict[str, str]) -> tuple[dict, list[dict]]:
-    settings, points, trials, fp_tol, fp_max_iter = _sweep_config(raw)
+def run_sweep(config: tuple[dict, list, int, float, int]) -> list[dict]:
+    settings, points, trials, fp_tol, fp_max_iter = config
 
     def worker(point: tuple[int, float]) -> dict:
         n, c2 = point
@@ -375,12 +375,11 @@ def run_sweep(raw: dict[str, str]) -> tuple[dict, list[dict]]:
             row["greedy_stderr"] = stderr
         return row
 
-    rows = list(_map_grid(worker, points, settings["threads"]))
-    return settings, rows
+    return list(_map_grid(worker, points, settings["threads"]))
 
 
-def run_spectrum_dump(raw: dict[str, str]) -> tuple[dict, list[dict]]:
-    settings, n, c2, kmax = _spectrum_config(raw)
+def run_spectrum_dump(config: tuple[dict, int, float, int]) -> list[dict]:
+    _, n, c2, kmax = config
     c = math.sqrt(c2)
     spectrum = solve_spectrum(n, c)
     # only the printed diagonal of sqrt(G), not the whole matrix
@@ -404,17 +403,17 @@ def run_spectrum_dump(raw: dict[str, str]) -> tuple[dict, list[dict]]:
             "deviation_numeric": diag_kk - gamma,
             "deviation_asymptotic": diag_deviation_asymptotic(k, c),
         })
-    return settings, rows
+    return rows
 
 
-def run_montecarlo(raw: dict[str, str],
-                   records: Optional[TextIO] = None) -> tuple[dict, list[dict]]:
-    """Estimate one online strategy over the grid; return (settings, summary rows).
+def run_montecarlo(config: tuple[dict, str, list, int],
+                   records: Optional[TextIO] = None) -> list[dict]:
+    """Estimate one online strategy over the grid; return the summary rows.
 
     With a ``records`` handle, every trial's JSONL line is written to it in
     grid order, and each point's estimate is counted from those same trials.
     """
-    settings, strategy, points, trials = _montecarlo_config(raw)
+    settings, strategy, points, trials = config
     seed = settings["seed"]
     threads = min(settings["threads"], len(points))
 
@@ -442,7 +441,7 @@ def run_montecarlo(raw: dict[str, str],
         rows.append(row)
         if text is not None:
             records.write(text)
-    return settings, rows
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +494,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # subcommand -> (configuration parser, runner, output columns); every
+    # configuration starts with the common settings.  Built per call, so a
+    # runner replaced on this module (as a tracer does) is the one called.
+    configure, run, columns = {
+        "sweep": (_sweep_config, run_sweep, SWEEP_COLUMNS),
+        "spectrum": (_spectrum_config, run_spectrum_dump, SPECTRUM_COLUMNS),
+        "montecarlo": (_montecarlo_config, run_montecarlo, MONTECARLO_COLUMNS),
+    }[args.subcommand]
     try:
         raw = _merge_config(args, args.subcommand)
         # the whole configuration is checked before any output file exists
-        {"sweep": _sweep_config, "spectrum": _spectrum_config,
-         "montecarlo": _montecarlo_config}[args.subcommand](raw)
-        with _staged_outputs(raw.get("out"), raw.get("records")) as (out, records):
-            if args.subcommand == "sweep":
-                settings, rows = run_sweep(raw)
-                columns = SWEEP_COLUMNS
-            elif args.subcommand == "spectrum":
-                settings, rows = run_spectrum_dump(raw)
-                columns = SPECTRUM_COLUMNS
-            else:
-                settings, rows = run_montecarlo(raw, records)
-                columns = MONTECARLO_COLUMNS
+        config = configure(raw)
+        settings = config[0]
+        with _staged_outputs(settings["out"], raw.get("records")) as (out, records):
+            # only montecarlo accepts a records path
+            rows = run(config) if records is None else run(config, records)
             lines = _serialize(columns, rows, settings["format"])
             if out is not None:
                 out.writelines(lines)

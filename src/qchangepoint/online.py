@@ -7,15 +7,18 @@ updates in between (greedy).  A seeded, counter-based Monte Carlo harness
 estimates their success probabilities; for small n an exact walk of the
 binary outcome tree provides the oracle value.  The Monte Carlo engine
 carries the greedy posterior as (tail weight, best weight, best index), so a
-trial costs O(n); simulate_greedy_trial and exact_greedy_enumeration keep the
-full posterior and remain its references.
+trial costs O(n).  Beside it stands one full-posterior reference: a single
+greedy step, _greedy_click_probabilities, built from helstrom_measurement
+and nothing the engine uses.  simulate_greedy_trial replays a trial with it
+and exact_greedy_enumeration walks both of its outcomes; the engine is
+tested against both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -23,16 +26,12 @@ from .exceptions import ImpossibleOutcomeError
 from .rng import CounterRng, trial_seed_array, uniform_array
 
 __all__ = [
-    "PosteriorDistribution",
     "TwoOutcomeMeasurement",
     "TrialRecord",
-    "GreedyPriors",
     "qubit_pair",
     "basic_local_closed_form",
     "simulate_basic_local",
-    "greedy_priors",
     "helstrom_measurement",
-    "bayes_update",
     "simulate_greedy_trial",
     "exact_greedy_enumeration",
     "monte_carlo",
@@ -59,24 +58,6 @@ def qubit_pair(c: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class PosteriorDistribution:
-    """Probability vector over candidate change points after step-1 updates.
-
-    step is the index s of the next particle to be measured (1-based);
-    eta[k-1] is the posterior probability that the change happened at k.
-    """
-
-    eta: np.ndarray
-    step: int
-
-    @classmethod
-    def uniform(cls, n: int) -> "PosteriorDistribution":
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        return cls(eta=np.full(n, 1.0 / n), step=1)
-
-
-@dataclass(frozen=True)
 class TwoOutcomeMeasurement:
     """Projective two-outcome measurement on one qubit."""
 
@@ -84,8 +65,7 @@ class TwoOutcomeMeasurement:
     projector_zero: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One Monte Carlo trial: hidden change point, outcomes, and the guess."""
 
     true_k: int
@@ -93,13 +73,6 @@ class TrialRecord:
     outcomes: str
     success: bool
     seed: int
-
-
-class GreedyPriors(NamedTuple):
-    p0: float
-    pphi: float
-    r0: Optional[int]
-    rphi: int
 
 
 def basic_local_closed_form(n: int, c: float) -> float:
@@ -134,47 +107,6 @@ def simulate_basic_local(n: int, c: float, true_k: int, rng: CounterRng) -> Tria
         success=guess == true_k,
         seed=rng.seed,
     )
-
-
-def greedy_priors(posterior: PosteriorDistribution, s: int) -> GreedyPriors:
-    """Largest posterior mass on either side of the current particle.
-
-    pphi is the maximum over change points k <= s (particle s already
-    mutated), p0 the maximum over k > s (particle s still default; zero when
-    that range is empty at s = n).  Ties break toward the smallest index.
-    """
-    eta = posterior.eta
-    n = eta.shape[0]
-    if not 1 <= s <= n:
-        raise ValueError(f"step s must lie in [1, {n}], got {s}")
-    rphi = int(np.argmax(eta[:s])) + 1
-    pphi = float(eta[rphi - 1])
-    if s < n:
-        r0 = s + 1 + int(np.argmax(eta[s:]))
-        p0 = float(eta[r0 - 1])
-    else:
-        r0 = None
-        p0 = 0.0
-    return GreedyPriors(p0=p0, pphi=pphi, r0=r0, rphi=rphi)
-
-
-def _outcome_phi_likelihoods(p0, pphi, c: float):
-    """Click probabilities of the phi-projector under each particle state.
-
-    Returns (a, b) with a = <0|P_phi|0> and b = <phi|P_phi|phi> for the
-    measurement that projects onto the strictly positive subspace of
-    pphi |phi><phi| - p0 |0><0|.  Accepts scalars or arrays for p0/pphi.
-    """
-    s2 = 1.0 - c * c
-    g00 = pphi * c * c - p0
-    g11 = pphi * s2
-    disc = np.hypot(g00 - g11, 2.0 * pphi * c * math.sqrt(s2))
-    lam_minus = 0.5 * ((pphi - p0) - disc)
-    safe = np.where(disc > 0.0, disc, 1.0)
-    a = (g00 - lam_minus) / safe
-    b = ((pphi - p0 * c * c) - lam_minus) / safe
-    zero = np.asarray(pphi) == 0.0
-    return np.where(zero, 0.0, a), np.where(zero, 0.0, b)
 
 
 def helstrom_measurement(p0: float, pphi: float, c: float) -> tuple[TwoOutcomeMeasurement, float]:
@@ -216,63 +148,41 @@ def helstrom_measurement(p0: float, pphi: float, c: float) -> tuple[TwoOutcomeMe
     return measurement, 0.5 * (pphi + p0 + disc)
 
 
-def bayes_update(
-    posterior: PosteriorDistribution,
-    s: int,
-    measurement: TwoOutcomeMeasurement,
-    outcome: int,
-    c: float,
-) -> PosteriorDistribution:
-    """Posterior after observing the outcome of the step-s measurement.
+def _greedy_click_probabilities(eta: np.ndarray, s: int, c: float) -> np.ndarray:
+    """Probability of a phi-click at step s under every change point (entry k-1).
 
-    The particle at step s is |0> under hypotheses k > s and |phi> under
-    k <= s, so the likelihood of the observed projector is the matching
-    quadratic form.  outcome=1 means the phi-projector clicked.
+    The greedy step measures with the two-state optimum for the largest
+    posterior mass on k <= s, where particle s is already mutated, against
+    the largest on k > s, where it is still default (none at s = n).
     """
-    _check_overlap(c)
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    projector = measurement.projector_phi if outcome == 1 else measurement.projector_zero
+    n = eta.shape[0]
+    p0 = float(eta[s:].max()) if s < n else 0.0
+    measurement, _ = helstrom_measurement(p0, float(eta[:s].max()), c)
+    projector = measurement.projector_phi
     _, phi = qubit_pair(c)
-    like_zero = float(projector[0, 0])
-    like_phi = float(phi @ projector @ phi)
-    n = posterior.eta.shape[0]
-    likelihood = np.where(np.arange(n) < s, like_phi, like_zero)
-    unnormalized = likelihood * posterior.eta
-    norm = unnormalized.sum()
-    if norm <= 0.0:
-        raise ImpossibleOutcomeError(
-            f"outcome {outcome} at step {s} has zero predicted probability"
-        )
-    return PosteriorDistribution(eta=unnormalized / norm, step=s + 1)
+    return np.where(np.arange(n) < s, float(phi @ projector @ phi), float(projector[0, 0]))
 
 
 def simulate_greedy_trial(n: int, c: float, true_k: int, rng: CounterRng) -> TrialRecord:
     """One trial of the greedy strategy with per-step optimal measurements.
 
-    At each step the two-state measurement for the current greedy priors is
+    At each step the greedy measurement for the current posterior is
     applied, the outcome sampled under the true particle state, and the
-    posterior updated; the final guess maximizes the posterior (smallest
-    index on ties).
+    posterior updated by Bayes' rule; the final guess maximizes the
+    posterior (smallest index on ties).
     """
     if not 1 <= true_k <= n:
         raise ValueError(f"true_k must lie in [1, {n}], got {true_k}")
     _check_overlap(c)
-    posterior = PosteriorDistribution.uniform(n)
-    _, phi = qubit_pair(c)
+    eta = np.full(n, 1.0 / n)
     bits = []
     for s in range(1, n + 1):
-        priors = greedy_priors(posterior, s)
-        measurement, _ = helstrom_measurement(priors.p0, priors.pphi, c)
-        projector = measurement.projector_phi
-        if true_k <= s:
-            click_prob = float(phi @ projector @ phi)
-        else:
-            click_prob = float(projector[0, 0])
-        outcome = 1 if rng.uniform(s) < click_prob else 0
-        bits.append("1" if outcome else "0")
-        posterior = bayes_update(posterior, s, measurement, outcome, c)
-    guess = int(np.argmax(posterior.eta)) + 1
+        click = _greedy_click_probabilities(eta, s, c)
+        clicked = rng.uniform(s) < click[true_k - 1]
+        bits.append("1" if clicked else "0")
+        eta = eta * (click if clicked else 1.0 - click)
+        eta /= eta.sum()
+    guess = int(np.argmax(eta)) + 1
     return TrialRecord(
         true_k=true_k,
         guess=guess,
@@ -286,8 +196,8 @@ def exact_greedy_enumeration(n: int, c: float) -> float:
     """Exact greedy success probability by walking the full outcome tree.
 
     Propagates the outcome-sequence probability under every hypothesis k
-    down both branches of each step; the number of branches doubles per
-    step, so n is capped at 12.
+    down both branches of each greedy step; the number of branches doubles
+    per step, so n is capped at 12.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -297,7 +207,6 @@ def exact_greedy_enumeration(n: int, c: float) -> float:
             f"(2^n outcome branches), got {n}"
         )
     _check_overlap(c)
-    k_index = np.arange(n)
     total = 0.0
     # stack holds (step, P(outcomes so far | k)); uniform prior folds in at the leaves
     stack: list[tuple[int, np.ndarray]] = [(1, np.ones(n))]
@@ -306,12 +215,8 @@ def exact_greedy_enumeration(n: int, c: float) -> float:
         if s > n:
             total += path_prob.max() / n
             continue
-        eta = path_prob / path_prob.sum()
-        pphi = float(eta[:s].max())
-        p0 = float(eta[s:].max()) if s < n else 0.0
-        a, b = _outcome_phi_likelihoods(p0, pphi, c)
-        like_phi = np.where(k_index < s, b, a)
-        for like in (like_phi, 1.0 - like_phi):
+        click = _greedy_click_probabilities(path_prob / path_prob.sum(), s, c)
+        for like in (click, 1.0 - click):
             child = path_prob * like
             if child.max() > 0.0:
                 stack.append((s + 1, child))
@@ -331,6 +236,25 @@ def _simulate_basic_chunk(n: int, c: float, seeds: np.ndarray):
     any_fire = fires.any(axis=1)
     guess = np.where(any_fire, fires.argmax(axis=1) + 1, n)
     return true_k, guess, fires.astype(np.uint8)
+
+
+def _outcome_phi_likelihoods(p0, pphi, c: float):
+    """Click probabilities of the phi-projector under each particle state.
+
+    Returns (a, b) with a = <0|P_phi|0> and b = <phi|P_phi|phi> for the
+    measurement that projects onto the strictly positive subspace of
+    pphi |phi><phi| - p0 |0><0|.  Accepts scalars or arrays for p0/pphi.
+    """
+    s2 = 1.0 - c * c
+    g00 = pphi * c * c - p0
+    g11 = pphi * s2
+    disc = np.hypot(g00 - g11, 2.0 * pphi * c * math.sqrt(s2))
+    lam_minus = 0.5 * ((pphi - p0) - disc)
+    safe = np.where(disc > 0.0, disc, 1.0)
+    a = (g00 - lam_minus) / safe
+    b = ((pphi - p0 * c * c) - lam_minus) / safe
+    zero = np.asarray(pphi) == 0.0
+    return np.where(zero, 0.0, a), np.where(zero, 0.0, b)
 
 
 def _simulate_greedy_chunk(n: int, c: float, seeds: np.ndarray):
@@ -418,4 +342,4 @@ def iter_trial_records(
         for k, g, bits, seed in zip(
             true_k.tolist(), guess.tolist(), bit_strings.tolist(), seeds.tolist()
         ):
-            yield TrialRecord(true_k=k, guess=g, outcomes=bits, success=g == k, seed=seed)
+            yield TrialRecord(k, g, bits, g == k, seed)

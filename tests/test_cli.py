@@ -201,6 +201,22 @@ class TestConfigHandling:
     def test_invalid_configs_exit_2(self, argv):
         assert cli.main(argv) == 2
 
+    def test_runner_gets_the_parsed_configuration(self, monkeypatch, capsys):
+        # main looks the runner up on the module when it runs, so a wrapper
+        # installed there (perfbench's tracer) is the one called, and hands
+        # it the configuration main parsed
+        seen = []
+
+        def fake_dump(config):
+            seen.append(config)
+            return [{"table": "eigen", "l": 1}]
+
+        monkeypatch.setattr(cli, "run_spectrum_dump", fake_dump)
+        assert cli.main(["spectrum", "--n", "3", "--c2", "0.5", "--kmax", "2"]) == 0
+        assert capsys.readouterr().out == SPECTRUM_GOLDEN.split("\n")[0] + "\neigen,1,,,,,,,\n"
+        (settings, n, c2, kmax), = seen
+        assert (settings["format"], n, c2, kmax) == ("csv", 3, 0.5, 2)
+
 
 class InjectedFailure(Exception):
     pass

@@ -5,14 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qchangepoint.exceptions import ImpossibleOutcomeError
+import qchangepoint.online as online_module
 from qchangepoint.online import (
-    PosteriorDistribution,
     TwoOutcomeMeasurement,
     basic_local_closed_form,
-    bayes_update,
     exact_greedy_enumeration,
-    greedy_priors,
     helstrom_measurement,
     iter_trial_records,
     monte_carlo,
@@ -81,39 +78,6 @@ class TestBasicLocal:
             simulate_basic_local(5, 0.5, 6, CounterRng(1))
 
 
-class TestGreedyPriors:
-    def test_uniform_first_step(self):
-        priors = greedy_priors(PosteriorDistribution.uniform(5), 1)
-        assert priors.pphi == pytest.approx(0.2)
-        assert priors.p0 == pytest.approx(0.2)
-        assert priors.rphi == 1
-        assert priors.r0 == 2
-
-    def test_final_step_empty_range(self):
-        priors = greedy_priors(PosteriorDistribution.uniform(4), 4)
-        assert priors.p0 == 0.0
-        assert priors.r0 is None
-        assert priors.rphi == 1
-
-    def test_concentrated_posterior(self):
-        eta = np.array([0.05, 0.8, 0.1, 0.05])
-        priors = greedy_priors(PosteriorDistribution(eta=eta, step=3), 3)
-        assert priors.pphi == pytest.approx(0.8)
-        assert priors.rphi == 2
-        assert priors.p0 == pytest.approx(0.05)
-        assert priors.r0 == 4
-
-    def test_ties_break_to_smallest_index(self):
-        eta = np.array([0.25, 0.25, 0.25, 0.25])
-        priors = greedy_priors(PosteriorDistribution(eta=eta, step=2), 2)
-        assert priors.rphi == 1
-        assert priors.r0 == 3
-
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            greedy_priors(PosteriorDistribution.uniform(4), 5)
-
-
 class TestHelstromMeasurement:
     def test_symmetric_priors_success(self):
         for c in (0.1, 0.6, 0.9):
@@ -159,68 +123,6 @@ class TestHelstromMeasurement:
             helstrom_measurement(0.0, 0.0, 0.5)
 
 
-class TestBayesUpdate:
-    def test_orthogonal_click_localizes(self):
-        measurement, _ = helstrom_measurement(0.3, 0.5, 0.0)
-        posterior = bayes_update(PosteriorDistribution.uniform(5), 2, measurement, 1, 0.0)
-        np.testing.assert_allclose(posterior.eta, [0.5, 0.5, 0.0, 0.0, 0.0], atol=1e-14)
-        assert posterior.step == 3
-
-    def test_identity_projector_leaves_posterior(self):
-        measurement = TwoOutcomeMeasurement(
-            projector_phi=np.eye(2), projector_zero=np.zeros((2, 2))
-        )
-        start = PosteriorDistribution(eta=np.array([0.1, 0.2, 0.7]), step=2)
-        posterior = bayes_update(start, 2, measurement, 1, 0.5)
-        np.testing.assert_allclose(posterior.eta, start.eta, atol=1e-15)
-
-    def test_two_state_worked_example(self):
-        # uniform prior, s = 1, p0 = pphi = 1/2, c = 0.6; click projector is
-        # [[0.1, 0.3], [0.3, 0.9]] so the click likelihoods are 0.9 and 0.1
-        measurement, _ = helstrom_measurement(0.5, 0.5, 0.6)
-        np.testing.assert_allclose(
-            measurement.projector_phi, [[0.1, 0.3], [0.3, 0.9]], atol=1e-12
-        )
-        posterior = bayes_update(PosteriorDistribution.uniform(2), 1, measurement, 1, 0.6)
-        np.testing.assert_allclose(posterior.eta, [0.9, 0.1], atol=1e-12)
-
-    def test_normalization_property(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            n = int(rng.integers(2, 9))
-            eta = rng.dirichlet(np.ones(n))
-            s = int(rng.integers(1, n + 1))
-            c = float(rng.uniform(0.05, 0.95))
-            priors = greedy_priors(PosteriorDistribution(eta=eta, step=s), s)
-            measurement, _ = helstrom_measurement(priors.p0, priors.pphi, c)
-            # predicted outcome probabilities sum to one
-            _, phi = qubit_pair(c)
-            like_phi = float(phi @ measurement.projector_phi @ phi)
-            like_zero = float(measurement.projector_phi[0, 0])
-            predicted = np.where(np.arange(n) < s, like_phi, like_zero)
-            click_prob = float(predicted @ eta)
-            assert 0.0 <= click_prob <= 1.0 + 1e-12
-            outcome = 1 if click_prob > 0.5 else 0
-            updated = bayes_update(
-                PosteriorDistribution(eta=eta, step=s), s, measurement, outcome, c
-            )
-            assert abs(updated.eta.sum() - 1.0) < 1e-12
-            assert np.all(updated.eta >= 0.0)
-
-    def test_impossible_outcome_raises(self):
-        # posterior entirely on k > s with orthogonal states: a click at
-        # step s has exactly zero predicted probability
-        measurement, _ = helstrom_measurement(0.5, 0.5, 0.0)
-        posterior = PosteriorDistribution(eta=np.array([0.0, 0.0, 1.0]), step=1)
-        with pytest.raises(ImpossibleOutcomeError):
-            bayes_update(posterior, 1, measurement, 1, 0.0)
-
-    def test_outcome_validation(self):
-        measurement, _ = helstrom_measurement(0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            bayes_update(PosteriorDistribution.uniform(3), 1, measurement, 2, 0.5)
-
-
 class TestGreedyTrial:
     def test_orthogonal_always_succeeds(self):
         for true_k in range(1, 7):
@@ -240,6 +142,18 @@ class TestGreedyTrial:
         assert set(record.outcomes) <= {"0", "1"}
         assert record.success == (record.guess == record.true_k)
 
+    def test_ties_break_to_smallest_index(self, monkeypatch):
+        # the projector I/2 clicks with probability 1/2 under both states
+        # (exactly so at c = 0), so the posterior stays flat and every entry
+        # ties with the first
+        def half(p0, pphi, c):
+            return TwoOutcomeMeasurement(np.eye(2) / 2, np.eye(2) / 2), 0.5
+
+        monkeypatch.setattr(online_module, "helstrom_measurement", half)
+        for true_k in range(1, 6):
+            record = simulate_greedy_trial(5, 0.0, true_k, CounterRng(trial_seed(4, true_k)))
+            assert record.guess == 1
+
 
 class TestExactEnumeration:
     def test_orthogonal(self):
@@ -257,6 +171,22 @@ class TestExactEnumeration:
     def test_resource_limit(self):
         with pytest.raises(ValueError):
             exact_greedy_enumeration(13, 0.5)
+
+    def test_independent_of_the_engine(self, monkeypatch):
+        # a valid but skewed engine measurement (click probabilities moved 10 %
+        # toward each other) must move the Monte Carlo engine, not the oracle
+        c = math.sqrt(0.5)
+        exact = exact_greedy_enumeration(8, c)
+        engine_step = online_module._outcome_phi_likelihoods
+
+        def skewed(p0, pphi, c):
+            a, b = engine_step(p0, pphi, c)
+            return a + 0.1 * (b - a), b - 0.1 * (b - a)
+
+        monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", skewed)
+        assert exact_greedy_enumeration(8, c) == exact
+        estimate, stderr = monte_carlo("greedy", 8, c, 20000, 77)
+        assert abs(estimate - exact) > 10 * stderr
 
     @pytest.mark.parametrize("c2", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("n", [3, 5, 7])
@@ -299,6 +229,8 @@ class TestMonteCarloHarness:
             ("basic", simulate_basic_local, 1, 0.6),
             ("greedy", simulate_greedy_trial, 7, 0.6),
             ("greedy", simulate_greedy_trial, 1, 0.6),
+            ("greedy", simulate_greedy_trial, 12, math.sqrt(0.3)),
+            ("greedy", simulate_greedy_trial, 12, math.sqrt(0.7)),
             ("greedy", simulate_greedy_trial, 50, 0.0),
             ("greedy", simulate_greedy_trial, 50, math.sqrt(0.5)),
             ("greedy", simulate_greedy_trial, 50, math.sqrt(0.95)),
@@ -331,8 +263,6 @@ class TestMonteCarloHarness:
         # with a = b = 1/2 every outcome scales the best and the tail weight
         # alike, so from step 2 on they tie exactly; the tie keeps the
         # earlier index, as argmax over the full posterior would
-        import qchangepoint.online as online_module
-
         seen = []
 
         def flat_likelihoods(p0, pphi, c):
