@@ -41,7 +41,6 @@ from .gram import (
 )
 from .online import (
     TrialRecord,
-    TwoOutcomeMeasurement,
     basic_local_closed_form,
     exact_greedy_enumeration,
     helstrom_measurement,
@@ -66,7 +65,6 @@ __all__ = [
     "SpectralFailureError",
     "SqrtGram",
     "TrialRecord",
-    "TwoOutcomeMeasurement",
     "WeightedGram",
     "asymptotic_pmax",
     "basic_local_closed_form",

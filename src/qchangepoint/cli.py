@@ -12,11 +12,15 @@ Three subcommands expose the library with stable CSV/JSONL output schemas:
                     to its file in grid order.
 
 Configuration comes from an optional flat key=value file plus command-line
-flags; flags win.  The whole configuration is checked first.  Then every
-output file is created under a temporary name before any computing starts,
-and all of a run's files are renamed together once all are complete, so a
-failed run leaves none of its files behind.  An output that cannot be
-written ends the run with exit code 3.
+flags; flags win.  One table, _SUBCOMMANDS, declares each subcommand's keys:
+every key with help text is also a flag, and the c2 range keys (c2_start,
+c2_stop, c2_count) are config-file-only.  Flags are collected as strings and
+parsed by the same code as config-file values, so a bad value exits 2 with
+a config error whichever way it is given.  The whole configuration is
+checked first.  Then every output file is created under a temporary name
+before any computing starts, and all of a run's files are renamed together
+once all are complete, so a failed run leaves none of its files behind.  An
+output that cannot be written ends the run with exit code 3.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import tempfile
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -102,16 +106,7 @@ def _parse_float_list(key: str, raw: str) -> list[float]:
     return [_parse_float(key, part) for part in raw.split(",") if part.strip()]
 
 
-_COMMON_KEYS = {"out", "format", "seed", "threads"}
-_ALLOWED_KEYS = {
-    "sweep": _COMMON_KEYS | {"n", "c2", "c2_start", "c2_stop", "c2_count",
-                             "trials", "fp_tol", "fp_max_iter"},
-    "spectrum": _COMMON_KEYS | {"n", "c2", "kmax"},
-    "montecarlo": _COMMON_KEYS | {"strategy", "n", "c2", "trials", "records"},
-}
-
-
-def _read_config_file(path: str, allowed: set[str]) -> dict[str, str]:
+def _read_config_file(path: str, allowed: Collection[str]) -> dict[str, str]:
     raw: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -129,16 +124,6 @@ def _read_config_file(path: str, allowed: set[str]) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value.strip()
     return raw
-
-
-def _merge_config(args: argparse.Namespace, subcommand: str) -> dict[str, str]:
-    allowed = _ALLOWED_KEYS[subcommand]
-    merged = _read_config_file(args.config, allowed) if args.config else {}
-    for key in sorted(allowed):
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = str(flag_value)
-    return merged
 
 
 def _common_settings(raw: dict[str, str]) -> dict:
@@ -448,69 +433,83 @@ def run_montecarlo(config: tuple[dict, str, list, int],
 # argument parsing and dispatch
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "jsonl"], help="output format")
-    parser.add_argument("--seed", type=int, help="base seed, 64-bit unsigned")
-    parser.add_argument("--threads", type=int, help="worker threads for grid points")
+class _Subcommand(NamedTuple):
+    help: str
+    # every key the subcommand reads, with its flag's help text; None marks
+    # a key that only a config file can set
+    keys: dict[str, Optional[str]]
+    configure: Callable[[dict[str, str]], tuple]
+    runner: str  # looked up on this module per call, so a wrapper installed there runs
+    columns: tuple[str, ...]
+
+
+_COMMON = {"out": "output path (default: stdout)", "format": "csv or jsonl",
+           "seed": "base seed, 64-bit unsigned", "threads": "worker threads for grid points"}
+_GRID = {"n": "comma-separated sequence lengths",
+         "c2": "comma-separated squared overlaps in [0, 1)"}
+_SUBCOMMANDS = {
+    "sweep": _Subcommand(
+        "collective figures over an (n, c2) grid",
+        {**_COMMON, **_GRID, "c2_start": None, "c2_stop": None, "c2_count": None,
+         "trials": "greedy Monte Carlo trials per point (0 skips online columns)",
+         "fp_tol": "fixed-point solver gain tolerance",
+         "fp_max_iter": "fixed-point solver iteration cap"},
+        _sweep_config, "run_sweep", SWEEP_COLUMNS),
+    "spectrum": _Subcommand(
+        "eigenvalue and sqrt-diagonal tables",
+        {**_COMMON, "n": "sequence length (single value)",
+         "c2": "squared overlap (single value)",
+         "kmax": "diagonal rows to emit (default min(n, 15))"},
+        _spectrum_config, "run_spectrum_dump", SPECTRUM_COLUMNS),
+    "montecarlo": _Subcommand(
+        "online-strategy Monte Carlo estimates",
+        {**_COMMON, "strategy": "basic or greedy", **_GRID,
+         "trials": "trials per grid point",
+         "records": "optional JSONL path for per-trial records"},
+        _montecarlo_config, "run_montecarlo", MONTECARLO_COLUMNS),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # flags only collect strings: the configure function parses them, as it
+    # parses config-file values
     parser = argparse.ArgumentParser(
         prog="qchangepoint",
         description="change-point identification experiments on qubit streams",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sweep = sub.add_parser("sweep", help="collective figures over an (n, c2) grid")
-    _add_common_flags(sweep)
-    sweep.add_argument("--n", help="comma-separated sequence lengths")
-    sweep.add_argument("--c2", help="comma-separated squared overlaps in [0, 1)")
-    sweep.add_argument("--trials", type=int,
-                       help="greedy Monte Carlo trials per point (0 skips online columns)")
-    sweep.add_argument("--fp-tol", dest="fp_tol", type=float,
-                       help="fixed-point solver gain tolerance")
-    sweep.add_argument("--fp-max-iter", dest="fp_max_iter", type=int,
-                       help="fixed-point solver iteration cap")
-
-    spectrum = sub.add_parser("spectrum", help="eigenvalue and sqrt-diagonal tables")
-    _add_common_flags(spectrum)
-    spectrum.add_argument("--n", help="sequence length (single value)")
-    spectrum.add_argument("--c2", help="squared overlap (single value)")
-    spectrum.add_argument("--kmax", type=int, help="diagonal rows to emit (default min(n, 15))")
-
-    mc = sub.add_parser("montecarlo", help="online-strategy Monte Carlo estimates")
-    _add_common_flags(mc)
-    mc.add_argument("--strategy", choices=["basic", "greedy"])
-    mc.add_argument("--n", help="comma-separated sequence lengths")
-    mc.add_argument("--c2", help="comma-separated squared overlaps in [0, 1)")
-    mc.add_argument("--trials", type=int, help="trials per grid point")
-    mc.add_argument("--records", help="optional JSONL path for per-trial records")
-
+    for name, spec in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=spec.help)
+        command.add_argument("--config", help="flat key=value config file")
+        for key, flag_help in spec.keys.items():
+            if flag_help is not None:
+                command.add_argument("--" + key.replace("_", "-"), dest=key, help=flag_help)
     return parser
 
 
+def _merge_config(args: argparse.Namespace, keys: Collection[str]) -> dict[str, str]:
+    merged = _read_config_file(args.config, keys) if args.config else {}
+    for key in keys:
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            merged[key] = flag_value
+    return merged
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    # subcommand -> (configuration parser, runner, output columns); every
-    # configuration starts with the common settings.  Built per call, so a
-    # runner replaced on this module (as a tracer does) is the one called.
-    configure, run, columns = {
-        "sweep": (_sweep_config, run_sweep, SWEEP_COLUMNS),
-        "spectrum": (_spectrum_config, run_spectrum_dump, SPECTRUM_COLUMNS),
-        "montecarlo": (_montecarlo_config, run_montecarlo, MONTECARLO_COLUMNS),
-    }[args.subcommand]
+    args = _build_parser().parse_args(argv)
+    spec = _SUBCOMMANDS[args.subcommand]
     try:
-        raw = _merge_config(args, args.subcommand)
-        # the whole configuration is checked before any output file exists
-        config = configure(raw)
+        raw = _merge_config(args, spec.keys)
+        # the whole configuration is checked before any output file exists;
+        # every configuration starts with the common settings
+        config = spec.configure(raw)
         settings = config[0]
+        run = globals()[spec.runner]
         with _staged_outputs(settings["out"], raw.get("records")) as (out, records):
             # only montecarlo accepts a records path
             rows = run(config) if records is None else run(config, records)
-            lines = _serialize(columns, rows, settings["format"])
+            lines = _serialize(spec.columns, rows, settings["format"])
             if out is not None:
                 out.writelines(lines)
         if out is None:

@@ -12,5 +12,5 @@ class SpectralFailureError(RuntimeError):
 
 
 class ImpossibleOutcomeError(ValueError):
-    """A Bayesian update was requested for an outcome whose predicted
-    probability is exactly zero."""
+    """The greedy Monte Carlo engine's posterior has zero or undefined (NaN)
+    mass after a sampled outcome."""

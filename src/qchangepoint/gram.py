@@ -74,15 +74,10 @@ def _check_overlap(c: float, n: int = 1) -> None:
         )
 
 
-def build_gram(n: int, c: float, include_no_change: bool = False) -> np.ndarray:
-    """Toeplitz Gram matrix G_ij = c^{|i-j|} of the n source states.
-
-    With include_no_change=True the no-mutation hypothesis (all particles in
-    the default state) is appended; it behaves exactly like a change at
-    position n+1, so the matrix is the same Toeplitz form one size larger.
-    """
+def build_gram(n: int, c: float) -> np.ndarray:
+    """Toeplitz Gram matrix G_ij = c^{|i-j|} of the n source states."""
     _check_overlap(c, n)
-    return toeplitz(c ** np.arange(n + 1 if include_no_change else n, dtype=float))
+    return toeplitz(c ** np.arange(n, dtype=float))
 
 
 def gram_inverse(n: int, c: float) -> np.ndarray:
@@ -114,11 +109,6 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
     """
     _check_overlap(c, n)
     j = np.arange(1, n + 1)
-    if c == 0.0:
-        thetas = j * math.pi / (n + 1.0)
-        vecs = np.sin(np.outer(j, thetas))
-        vecs /= np.linalg.norm(vecs, axis=0)
-        return GramSpectrum(n=n, c=0.0, thetas=thetas, lambdas=np.ones(n), eigvecs=vecs)
 
     def boundary_phase(theta: np.ndarray) -> np.ndarray:
         return np.arctan2(c * np.sin(theta), 1.0 - c * np.cos(theta))

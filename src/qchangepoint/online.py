@@ -17,7 +17,6 @@ tested against both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -26,7 +25,6 @@ from .exceptions import ImpossibleOutcomeError
 from .rng import CounterRng, trial_seed_array, uniform_array
 
 __all__ = [
-    "TwoOutcomeMeasurement",
     "TrialRecord",
     "qubit_pair",
     "basic_local_closed_form",
@@ -55,14 +53,6 @@ def qubit_pair(c: float) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_overlap(c)
     return np.array([1.0, 0.0]), np.array([c, math.sqrt(1.0 - c * c)])
-
-
-@dataclass(frozen=True)
-class TwoOutcomeMeasurement:
-    """Projective two-outcome measurement on one qubit."""
-
-    projector_phi: np.ndarray
-    projector_zero: np.ndarray
 
 
 class TrialRecord(NamedTuple):
@@ -109,13 +99,13 @@ def simulate_basic_local(n: int, c: float, true_k: int, rng: CounterRng) -> Tria
     )
 
 
-def helstrom_measurement(p0: float, pphi: float, c: float) -> tuple[TwoOutcomeMeasurement, float]:
+def helstrom_measurement(p0: float, pphi: float, c: float) -> tuple[np.ndarray, float]:
     """Optimal two-outcome measurement for weighted states |0> and |phi>.
 
-    Diagonalizes the 2x2 matrix pphi |phi><phi| - p0 |0><0| and projects
-    onto its strictly positive subspace (a zero eigenvalue goes to the
-    0-outcome projector).  Also returns the per-step success probability
-    (pphi + p0 + tr|Gamma|) / 2.
+    Diagonalizes the 2x2 matrix pphi |phi><phi| - p0 |0><0| and returns the
+    phi-outcome projector P onto its strictly positive subspace (a zero
+    eigenvalue goes to the 0-outcome, I - P) with the per-step success
+    probability (pphi + p0 + tr|Gamma|) / 2.
     """
     if p0 < 0.0 or pphi < 0.0:
         raise ValueError(f"priors must be >= 0, got p0={p0}, pphi={pphi}")
@@ -123,7 +113,6 @@ def helstrom_measurement(p0: float, pphi: float, c: float) -> tuple[TwoOutcomeMe
         raise ValueError("priors p0 and pphi must not both be zero")
     _check_overlap(c)
     s = math.sqrt(1.0 - c * c)
-    identity = np.eye(2)
     if pphi == 0.0:
         projector_phi = np.zeros((2, 2))
         disc = p0
@@ -140,12 +129,8 @@ def helstrom_measurement(p0: float, pphi: float, c: float) -> tuple[TwoOutcomeMe
         )
         disc = math.hypot(gamma[0, 0] - gamma[1, 1], 2.0 * gamma[0, 1])
         lam_minus = 0.5 * ((pphi - p0) - disc)
-        projector_phi = (gamma - lam_minus * identity) / disc
-    measurement = TwoOutcomeMeasurement(
-        projector_phi=projector_phi,
-        projector_zero=identity - projector_phi,
-    )
-    return measurement, 0.5 * (pphi + p0 + disc)
+        projector_phi = (gamma - lam_minus * np.eye(2)) / disc
+    return projector_phi, 0.5 * (pphi + p0 + disc)
 
 
 def _greedy_click_probabilities(eta: np.ndarray, s: int, c: float) -> np.ndarray:
@@ -157,8 +142,7 @@ def _greedy_click_probabilities(eta: np.ndarray, s: int, c: float) -> np.ndarray
     """
     n = eta.shape[0]
     p0 = float(eta[s:].max()) if s < n else 0.0
-    measurement, _ = helstrom_measurement(p0, float(eta[:s].max()), c)
-    projector = measurement.projector_phi
+    projector, _ = helstrom_measurement(p0, float(eta[:s].max()), c)
     _, phi = qubit_pair(c)
     return np.where(np.arange(n) < s, float(phi @ projector @ phi), float(projector[0, 0]))
 
@@ -277,7 +261,8 @@ def _simulate_greedy_chunk(n: int, c: float, seeds: np.ndarray):
         tail *= np.where(clicked, a, 1.0 - a)
         scale = np.maximum(best, tail) if s < n else best
         if not np.all(scale > 0.0):
-            raise ImpossibleOutcomeError(f"sampled outcome with zero posterior mass at step {s}")
+            raise ImpossibleOutcomeError(
+                f"greedy posterior has zero or undefined mass after the outcome sampled at step {s}")
         best /= scale
         tail /= scale
         outcomes[:, s - 1] = clicked

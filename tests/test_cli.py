@@ -218,6 +218,84 @@ class TestConfigHandling:
         assert (settings["format"], n, c2, kmax) == ("csv", 3, 0.5, 2)
 
 
+# settings every run of a subcommand is given by flag, and per key a value
+# that differs from both them and the default; "{tmp}" is the run's directory
+BASE_SETTINGS = {
+    "sweep": {"n": "2,3", "c2": "0.36", "trials": "20"},
+    "spectrum": {"n": "3", "c2": "0.25"},
+    "montecarlo": {"strategy": "greedy", "n": "3", "c2": "0.5", "trials": "20"},
+}
+FLAG_VALUES = {
+    ("sweep", "n"): "4", ("sweep", "c2"): "0.2,0.7", ("sweep", "trials"): "30",
+    ("sweep", "fp_tol"): "1e-4", ("sweep", "fp_max_iter"): "2",
+    ("spectrum", "n"): "5", ("spectrum", "c2"): "0.6", ("spectrum", "kmax"): "2",
+    ("montecarlo", "strategy"): "basic", ("montecarlo", "n"): "2,4",
+    ("montecarlo", "c2"): "0.3", ("montecarlo", "trials"): "30",
+    ("montecarlo", "records"): "{tmp}/records.jsonl",
+}
+COMMON_VALUES = {"out": "{tmp}/out.txt", "format": "jsonl", "seed": "7", "threads": "2"}
+# the thread count never changes an output, and no seed enters a spectrum
+INERT_KEYS = {("sweep", "threads"), ("spectrum", "threads"), ("montecarlo", "threads"),
+              ("spectrum", "seed")}
+FLAGGED_KEYS = [(name, key) for name, spec in cli._SUBCOMMANDS.items()
+                for key, flag_help in spec.keys.items() if flag_help is not None]
+
+
+def _run_outputs(capsys, directory, argv, config=None):
+    """main's exit code, stdout and the files it wrote into a new directory.
+
+    "{tmp}" in argv and in the config file's text names that directory.
+    """
+    directory.mkdir()
+    argv = [a.format(tmp=directory) for a in argv]
+    if config is not None:
+        cfg = directory / "run.cfg"
+        cfg.write_text(config.format(tmp=directory))
+        argv += ["--config", str(cfg)]
+    rc = cli.main(argv)
+    files = {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "run.cfg"}
+    return rc, capsys.readouterr().out, files
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("subcommand,key", FLAGGED_KEYS)
+    def test_flag_equals_config_file(self, tmp_path, capsys, subcommand, key):
+        value = FLAG_VALUES.get((subcommand, key), COMMON_VALUES.get(key))
+        assert value is not None, f"no test value for {subcommand} {key}"
+        base = [subcommand]
+        for name, given in BASE_SETTINGS[subcommand].items():
+            if name != key:
+                base += ["--" + name, given]
+        by_flag = _run_outputs(capsys, tmp_path / "flag",
+                               base + ["--" + key.replace("_", "-"), value])
+        by_file = _run_outputs(capsys, tmp_path / "file", base, config=f"{key} = {value}\n")
+        assert by_flag[0] == 0
+        assert by_flag == by_file
+        if (subcommand, key) not in INERT_KEYS:
+            assert by_flag != _run_outputs(capsys, tmp_path / "default", base)
+
+    @pytest.mark.parametrize("subcommand,key,value", [
+        ("sweep", "seed", "x"),
+        ("sweep", "format", "xml"),
+        ("montecarlo", "strategy", "foo"),
+        ("sweep", "fp_tol", "abc"),
+        ("spectrum", "kmax", "1.5"),
+    ])
+    def test_bad_value_exits_2_either_way(self, tmp_path, capsys, subcommand, key, value):
+        base = [subcommand, "--n", "3", "--c2", "0.5"]
+        if subcommand == "montecarlo":
+            base += ["--trials", "10"]
+        assert cli.main(base + ["--" + key.replace("_", "-"), value]) == 2
+        by_flag = capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert cli.main(base + ["--config", str(cfg)]) == 2
+        by_file = capsys.readouterr()
+        assert by_flag.out == by_file.out == ""
+        assert by_flag.err.startswith(f"qchangepoint: config error: {key}")
+        assert by_flag.err == by_file.err
+
+
 class InjectedFailure(Exception):
     pass
 

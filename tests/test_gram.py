@@ -35,11 +35,6 @@ class TestBuildGram:
     def test_c_zero_identity(self):
         np.testing.assert_array_equal(build_gram(5, 0.0), np.eye(5))
 
-    def test_no_change_flag_enlarges_toeplitz(self):
-        g = build_gram(4, 0.6, include_no_change=True)
-        assert g.shape == (5, 5)
-        np.testing.assert_allclose(g, build_gram(5, 0.6), atol=1e-15)
-
     def test_degenerate_overlap(self):
         with pytest.raises(DegenerateEnsembleError):
             build_gram(3, 1.0)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import qchangepoint.online as online_module
+from qchangepoint.exceptions import ImpossibleOutcomeError
 from qchangepoint.online import (
-    TwoOutcomeMeasurement,
     basic_local_closed_form,
     exact_greedy_enumeration,
     helstrom_measurement,
@@ -87,22 +87,20 @@ class TestHelstromMeasurement:
     def test_zero_p0_projects_onto_mutated_state(self):
         # the zero eigenvalue goes to the 0-outcome projector, so the click
         # projector is the mutated state itself and the step value is pphi
-        measurement, success = helstrom_measurement(0.0, 0.7, 0.6)
+        projector, success = helstrom_measurement(0.0, 0.7, 0.6)
         _, phi = qubit_pair(0.6)
-        np.testing.assert_allclose(measurement.projector_phi, np.outer(phi, phi), atol=1e-12)
+        np.testing.assert_allclose(projector, np.outer(phi, phi), atol=1e-12)
         assert success == pytest.approx(0.7, abs=1e-12)
 
     def test_zero_pphi_never_clicks(self):
-        measurement, success = helstrom_measurement(0.4, 0.0, 0.6)
-        np.testing.assert_allclose(measurement.projector_phi, np.zeros((2, 2)), atol=1e-15)
+        projector, success = helstrom_measurement(0.4, 0.0, 0.6)
+        np.testing.assert_allclose(projector, np.zeros((2, 2)), atol=1e-15)
         assert success == pytest.approx(0.4, abs=1e-12)
 
     def test_orthogonal_states_computational_basis(self):
         for p0, pphi in ((0.3, 0.4), (0.5, 0.1)):
-            measurement, _ = helstrom_measurement(p0, pphi, 0.0)
-            np.testing.assert_allclose(
-                measurement.projector_phi, np.diag([0.0, 1.0]), atol=1e-14
-            )
+            projector, _ = helstrom_measurement(p0, pphi, 0.0)
+            np.testing.assert_allclose(projector, np.diag([0.0, 1.0]), atol=1e-14)
 
     def test_projector_properties(self):
         rng = np.random.default_rng(3)
@@ -111,12 +109,8 @@ class TestHelstromMeasurement:
             c = rng.uniform(0.0, 0.99)
             if p0 + pphi == 0.0:
                 continue
-            measurement, _ = helstrom_measurement(p0, pphi, c)
-            p = measurement.projector_phi
+            p, _ = helstrom_measurement(p0, pphi, c)
             assert np.abs(p @ p - p).max() < 1e-12
-            np.testing.assert_allclose(
-                measurement.projector_zero, np.eye(2) - p, atol=1e-15
-            )
 
     def test_both_zero_raises(self):
         with pytest.raises(ValueError):
@@ -147,7 +141,7 @@ class TestGreedyTrial:
         # (exactly so at c = 0), so the posterior stays flat and every entry
         # ties with the first
         def half(p0, pphi, c):
-            return TwoOutcomeMeasurement(np.eye(2) / 2, np.eye(2) / 2), 0.5
+            return np.eye(2) / 2, 0.5
 
         monkeypatch.setattr(online_module, "helstrom_measurement", half)
         for true_k in range(1, 6):
@@ -275,6 +269,16 @@ class TestMonteCarloHarness:
         for tail, best in seen[1:4]:
             np.testing.assert_array_equal(best, tail)
         assert [r.guess for r in records] == [1] * 200
+
+    def test_undefined_posterior_raises(self, monkeypatch):
+        # a NaN click probability under the mutated state leaves the best
+        # weight undefined after the first outcome
+        def nan_b(p0, pphi, c):
+            return np.full_like(pphi, 0.5), np.full_like(pphi, np.nan)
+
+        monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", nan_b)
+        with pytest.raises(ImpossibleOutcomeError, match="at step 1$"):
+            monte_carlo("greedy", 5, 0.6, 100, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
