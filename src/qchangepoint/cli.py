@@ -122,6 +122,8 @@ def _read_config_file(path: str, allowed: Collection[str]) -> dict[str, str]:
         key = key.strip()
         if key not in allowed:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
     return raw
 
@@ -178,27 +180,21 @@ def _grid_points(raw: dict[str, str]) -> list[tuple[int, float]]:
 # serialization
 
 
+# every cell is None, a str, an int or a float; per-trial records do not pass
+# through here (see _write_records)
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
+    if isinstance(value, (str, int)):
+        return str(value)
+    return f"{value:.12g}"
 
 
 def _json_cell(value):
-    if value is None or isinstance(value, (str, bool)):
+    if value is None or isinstance(value, (str, int)):
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
     # round-trip through the 12-significant-digit text form for stable diffs
-    return float(f"{float(value):.12g}")
+    return float(f"{value:.12g}")
 
 
 def _serialize(columns: Sequence[str], rows: Iterable[dict], fmt: str) -> Iterator[str]:
@@ -443,14 +439,17 @@ class _Subcommand(NamedTuple):
     columns: tuple[str, ...]
 
 
+# a spectrum draws no random numbers, so it takes no seed; it keeps threads,
+# which changes no output, for callers that pass it to every subcommand
 _COMMON = {"out": "output path (default: stdout)", "format": "csv or jsonl",
-           "seed": "base seed, 64-bit unsigned", "threads": "worker threads for grid points"}
+           "threads": "worker threads for grid points"}
+_SEED = {"seed": "base seed, 64-bit unsigned"}
 _GRID = {"n": "comma-separated sequence lengths",
          "c2": "comma-separated squared overlaps in [0, 1)"}
 _SUBCOMMANDS = {
     "sweep": _Subcommand(
         "collective figures over an (n, c2) grid",
-        {**_COMMON, **_GRID, "c2_start": None, "c2_stop": None, "c2_count": None,
+        {**_COMMON, **_SEED, **_GRID, "c2_start": None, "c2_stop": None, "c2_count": None,
          "trials": "greedy Monte Carlo trials per point (0 skips online columns)",
          "fp_tol": "fixed-point solver gain tolerance",
          "fp_max_iter": "fixed-point solver iteration cap"},
@@ -463,7 +462,7 @@ _SUBCOMMANDS = {
         _spectrum_config, "run_spectrum_dump", SPECTRUM_COLUMNS),
     "montecarlo": _Subcommand(
         "online-strategy Monte Carlo estimates",
-        {**_COMMON, "strategy": "basic or greedy", **_GRID,
+        {**_COMMON, **_SEED, "strategy": "basic or greedy", **_GRID,
          "trials": "trials per grid point",
          "records": "optional JSONL path for per-trial records"},
         _montecarlo_config, "run_montecarlo", MONTECARLO_COLUMNS),

@@ -8,7 +8,10 @@ and a step that lowers the value ends it unconverged at the best iterate.
 
 Every square root comes from ``gram._symmetric_root``, and the bounds exist
 once, in the three bound functions; ``collective_summary`` applies them to
-W = G/n built from the closed-form spectrum.
+W = G/n built from the closed-form spectrum.  The fixed point exists once
+too, in ``_fixed_point``, which needs only G and the priors;
+``optimal_povm_fixed_point`` adds G = S^T S and the POVM vectors around it,
+and ``collective_summary`` hands it ``build_gram``'s G for the value alone.
 """
 
 from __future__ import annotations
@@ -162,35 +165,15 @@ def embed_states(gram: np.ndarray) -> np.ndarray:
     return root.matrix
 
 
-def optimal_povm_fixed_point(
-    states: np.ndarray,
-    priors: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> PovmSolverResult:
-    """Fixed-point iteration for the minimum-error POVM; it stops on small gain.
+def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int):
+    """The fixed-point iteration on the Gram matrix alone; see optimal_povm_fixed_point.
 
-    Seeds with the square root measurement, then repeatedly conjugates each
-    element by the inverse square root of sum_j p_j <psi_j|E_j|psi_j>
-    |psi_j><psi_j|, the classical steering map whose fixed points satisfy the
-    optimality conditions.  The loop stops once the per-iteration gain drops
-    below tol; a step that lowers the success probability by more than 1e-12
-    ends it with converged=False and the best iterate returned.  The iteration
-    is not monotone: with priors (0.3, 0, 0.4, 0.3) at n=4, c=0.6 the first
-    step lowers the value, so the result is the square-root-measurement value
-    0.907941693817 after 1 iteration.
-
-    The iteration runs in Gram form.  With steering weights w, B = S diag(sqrt w)
-    and M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the elements are E_k = g_k g_k^T
-    with g = B M^{-1/2}, and <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k).  A step is
-    one n x n eigendecomposition of M; the vectors g are formed once at the end.
+    Returns (value, iterations, residual, converged, (root_w, vecs, root_vals)),
+    the last being the eigendecomposition of M at the returned iterate.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    states = np.asarray(states, dtype=float)
-    n = states.shape[1]
-    priors = _checked_priors(priors, n)
-    gram = states.T @ states
+    n = gram.shape[0]
 
     def steer(weights: np.ndarray):
         # M shares its nonzero spectrum with the state-space aggregate
@@ -225,15 +208,45 @@ def optimal_povm_fixed_point(
             break
     if not converged:
         current, success = best, best_success
+    return success, iterations, residual, converged, current
 
-    root_w, vecs, root_vals = current
+
+def optimal_povm_fixed_point(
+    states: np.ndarray,
+    priors: np.ndarray,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+) -> PovmSolverResult:
+    """Fixed-point iteration for the minimum-error POVM; it stops on small gain.
+
+    Seeds with the square root measurement, then repeatedly conjugates each
+    element by the inverse square root of sum_j p_j <psi_j|E_j|psi_j>
+    |psi_j><psi_j|, the classical steering map whose fixed points satisfy the
+    optimality conditions.  The loop stops once the per-iteration gain drops
+    below tol; a step that lowers the success probability by more than 1e-12
+    ends it with converged=False and the best iterate returned.  The iteration
+    is not monotone: with priors (0.3, 0, 0.4, 0.3) at n=4, c=0.6 the first
+    step lowers the value, so the result is the square-root-measurement value
+    0.907941693817 after 1 iteration.
+
+    The iteration runs in Gram form.  With steering weights w, B = S diag(sqrt w)
+    and M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the elements are E_k = g_k g_k^T
+    with g = B M^{-1/2}, and <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k).  A step is
+    one n x n eigendecomposition of M; the vectors g are formed once at the end.
+    """
+    states = np.asarray(states, dtype=float)
+    n = states.shape[1]
+    priors = _checked_priors(priors, n)
+    success, iterations, residual, converged, (root_w, vecs, root_vals) = _fixed_point(
+        states.T @ states, priors, tol, max_iter
+    )
     inv_root = np.divide(1.0, root_vals, out=np.zeros(n), where=root_vals > 0.0)
     vectors = (states * root_w) @ (vecs * inv_root) @ vecs.T
     return PovmSolverResult(
         success_probability=success,
         vectors=vectors,
         iterations=iterations,
-        residual=abs(residual),
+        residual=residual,
         converged=converged,
     )
 
@@ -246,21 +259,24 @@ def collective_summary(
 ) -> CollectiveSummary:
     """All collective figures at one (n, c) point under uniform priors.
 
-    No numerical eigensolver runs: W = G/n comes from the closed-form spectrum,
-    with sqrt(W) = sqrt(G)/sqrt(n), and the solver is fed the states sqrt(G).
+    The bounds and the SRM come from the closed-form spectrum: W = G/n and
+    sqrt(W) = sqrt(G)/sqrt(n).  The fixed-point core iterates on the Gram
+    matrix G itself, one LAPACK eigendecomposition per step, and forms no
+    POVM vectors.
     """
     spectrum = solve_spectrum(n, c)
     root, q, lambda_max, rank_deficient = _symmetric_root(spectrum.lambdas, spectrum.eigvecs)
-    uniform = WeightedGram(n=n, matrix=build_gram(n, c) / n,
+    gram = build_gram(n, c)
+    uniform = WeightedGram(n=n, matrix=gram / n,
                            sqrt_matrix=root.matrix / math.sqrt(n), q=q,
                            lambda_max=lambda_max / n, rank_deficient=rank_deficient)
-    result = optimal_povm_fixed_point(root.matrix, np.full(n, 1.0 / n), tol=tol, max_iter=max_iter)
+    fixed_point_opt = _fixed_point(gram, np.full(n, 1.0 / n), tol, max_iter)[0]
     return CollectiveSummary(
         n=n,
         c=c,
         lower_bound=success_lower_bound(uniform),
         srm=srm_success(uniform),
-        fixed_point_opt=result.success_probability,
+        fixed_point_opt=fixed_point_opt,
         upper_bound=success_upper_bound(uniform),
         asymptotic=asymptotic_pmax(c),
     )

@@ -103,7 +103,10 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
     (n+1) theta + 2 phi(theta) = l pi, phi = atan2(c sin(theta), 1 - c cos(theta)),
     inside ((l-1) pi/(n+1), l pi/(n+1)]; the phase has slope >= n there.  All
     n brackets are bisected at once down to adjacent floats.  Eigenvalues
-    follow as (1-c^2)/(1-2c cos(theta_l)+c^2); eigenvector components
+    follow as (1-c^2)/(1-2c cos(theta_l)+c^2).  Both denominators are written
+    without cancellation as c -> 1: 1 - c cos(theta) = (1-c) + 2c sin^2(theta/2),
+    1 - 2c cos(theta) + c^2 = (1-c)^2 + 4c sin^2(theta/2), and 1 - c^2 =
+    (1-c)(1+c).  Eigenvector components
     sin(j theta) - c sin((j-1) theta) equal R sin(j theta + phi) with R > 0,
     so they are built from one sine each and normalized by their summed norm.
     """
@@ -111,7 +114,7 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
     j = np.arange(1, n + 1)
 
     def boundary_phase(theta: np.ndarray) -> np.ndarray:
-        return np.arctan2(c * np.sin(theta), 1.0 - c * np.cos(theta))
+        return np.arctan2(c * np.sin(theta), (1.0 - c) + 2.0 * c * np.sin(0.5 * theta) ** 2)
 
     target = j * math.pi
     lo = (j - 1) * math.pi / (n + 1.0)
@@ -126,7 +129,7 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
         hi = np.where(inside & ~below, mid, hi)
     thetas = hi
 
-    lambdas = (1.0 - c * c) / (1.0 - 2.0 * c * np.cos(thetas) + c * c)
+    lambdas = (1.0 - c) * (1.0 + c) / ((1.0 - c) ** 2 + 4.0 * c * np.sin(0.5 * thetas) ** 2)
     vecs = np.sin(np.outer(j, thetas) + boundary_phase(thetas))
     vecs /= np.linalg.norm(vecs, axis=0)
     return GramSpectrum(n=n, c=c, thetas=thetas, lambdas=lambdas, eigvecs=vecs)

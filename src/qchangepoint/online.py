@@ -272,7 +272,7 @@ def _simulate_greedy_chunk(n: int, c: float, seeds: np.ndarray):
 _CHUNK_FUNCS = {"basic": _simulate_basic_chunk, "greedy": _simulate_greedy_chunk}
 
 
-def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int, chunk_size: int):
+def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int):
     if strategy not in _CHUNK_FUNCS:
         raise ValueError(f"strategy must be one of {sorted(_CHUNK_FUNCS)}, got {strategy!r}")
     if trials < 1:
@@ -281,8 +281,8 @@ def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int
         raise ValueError(f"n must be >= 1, got {n}")
     _check_overlap(c)
     simulate = _CHUNK_FUNCS[strategy]
-    for start in range(0, trials, chunk_size):
-        idx = np.arange(start, min(start + chunk_size, trials), dtype=np.uint64)
+    for start in range(0, trials, _CHUNK_SIZE):
+        idx = np.arange(start, min(start + _CHUNK_SIZE, trials), dtype=np.uint64)
         seeds = trial_seed_array(base_seed, idx)
         true_k, guess, outcomes = simulate(n, c, seeds)
         yield seeds, true_k, guess, outcomes
@@ -294,7 +294,6 @@ def monte_carlo(
     c: float,
     trials: int,
     base_seed: int,
-    chunk_size: int = _CHUNK_SIZE,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of a strategy's success probability.
 
@@ -304,7 +303,7 @@ def monte_carlo(
     success fraction and its binomial standard error.
     """
     successes = 0
-    for _, true_k, guess, _ in _chunked_trials(strategy, n, c, trials, base_seed, chunk_size):
+    for _, true_k, guess, _ in _chunked_trials(strategy, n, c, trials, base_seed):
         successes += int((guess == true_k).sum())
     estimate = successes / trials
     return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
@@ -316,12 +315,9 @@ def iter_trial_records(
     c: float,
     trials: int,
     base_seed: int,
-    chunk_size: int = _CHUNK_SIZE,
 ) -> Iterator[TrialRecord]:
     """Per-trial records from the same engine and stream as monte_carlo."""
-    for seeds, true_k, guess, outcomes in _chunked_trials(
-        strategy, n, c, trials, base_seed, chunk_size
-    ):
+    for seeds, true_k, guess, outcomes in _chunked_trials(strategy, n, c, trials, base_seed):
         # one fixed-width ASCII '0'/'1' string per trial, built for the whole chunk
         bit_strings = (outcomes + ord("0")).view(f"S{n}").ravel().astype(f"U{n}")
         for k, g, bits, seed in zip(

@@ -197,9 +197,14 @@ class TestConfigHandling:
         ["sweep", "--n", "0", "--c2", "0.5", "--out", "/nonexistent/x.csv"],
         ["montecarlo", "--strategy", "basic", "--n", "2", "--c2", "0.5", "--trials", "0",
          "--records", "/nonexistent/r.jsonl"],
+        # a key given twice in one config file
+        ["sweep", "--config", "{tmp}/dup.cfg"],
     ])
-    def test_invalid_configs_exit_2(self, argv):
-        assert cli.main(argv) == 2
+    def test_invalid_configs_exit_2(self, tmp_path, capsys, argv):
+        (tmp_path / "dup.cfg").write_text("n = 2\nc2 = 0.36\nn = 3\n")
+        assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+        if "{tmp}/dup.cfg" in argv:
+            assert capsys.readouterr().err.endswith("dup.cfg:3: duplicate key 'n'\n")
 
     def test_runner_gets_the_parsed_configuration(self, monkeypatch, capsys):
         # main looks the runner up on the module when it runs, so a wrapper
@@ -234,9 +239,8 @@ FLAG_VALUES = {
     ("montecarlo", "records"): "{tmp}/records.jsonl",
 }
 COMMON_VALUES = {"out": "{tmp}/out.txt", "format": "jsonl", "seed": "7", "threads": "2"}
-# the thread count never changes an output, and no seed enters a spectrum
-INERT_KEYS = {("sweep", "threads"), ("spectrum", "threads"), ("montecarlo", "threads"),
-              ("spectrum", "seed")}
+# the thread count never changes an output
+INERT_KEYS = {("sweep", "threads"), ("spectrum", "threads"), ("montecarlo", "threads")}
 FLAGGED_KEYS = [(name, key) for name, spec in cli._SUBCOMMANDS.items()
                 for key, flag_help in spec.keys.items() if flag_help is not None]
 
@@ -544,6 +548,13 @@ class TestSweepContent:
             cells = [float(x) for x in line.split(",")[2:7]]
             lower, srm, opt, upper, _ = cells
             assert lower - 1e-12 <= srm <= opt + 1e-12 <= upper + 2e-12
+
+    def test_overlap_next_to_one(self, capsys):
+        # the largest float below 1: the spectrum stays finite and the sweep
+        # finishes with a number in every collective column
+        assert cli.main(["sweep", "--n", "3", "--c2", "0.9999999999999999"]) == 0
+        cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert all(math.isfinite(float(cell)) for cell in cells[2:7])
 
     def test_orthogonal_grid_point(self, capsys):
         # c2 = 0 is a valid grid value: every figure of merit is 1

@@ -302,6 +302,18 @@ class TestCollectiveSummary:
         assert summary.srm == pytest.approx(srm_success(w), abs=1e-9)
         assert summary.upper_bound == pytest.approx(success_upper_bound(w), abs=1e-9)
 
+    @pytest.mark.parametrize("c2", [0.0, 0.36, 0.9, 0.99, 0.999999])
+    def test_two_states_reach_helstrom(self, c2):
+        # for two states every collective figure is the Helstrom value; at
+        # c^2 = 0.999999 a cancelling spectrum or a rebuilt S^T S misses it
+        # by about 1e-10
+        c = math.sqrt(c2)
+        helstrom = (1 + math.sqrt((1 - c) * (1 + c))) / 2
+        summary = collective_summary(2, c)
+        for value in (summary.lower_bound, summary.srm, summary.fixed_point_opt,
+                      summary.upper_bound):
+            assert value == pytest.approx(helstrom, abs=1e-12)
+
     def test_ordering(self):
         summary = collective_summary(20, 0.8)
         assert (

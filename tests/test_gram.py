@@ -122,14 +122,39 @@ class TestSolveSpectrum:
     @pytest.mark.parametrize("n", [1, 2, 7, 1000])
     def test_bracket_invariant(self, n, c2):
         # theta_l is the root of (n+1) theta + 2 atan2(c sin, 1 - c cos) = l pi
-        # inside its analytic bracket ((l-1) pi/(n+1), l pi/(n+1)]
+        # inside its analytic bracket ((l-1) pi/(n+1), l pi/(n+1)].  The phase
+        # is evaluated at 40 digits: in float64, 1 - c cos(theta) cancels as
+        # c -> 1 exactly as a cancelling solver would, and hides its error
+        mp = pytest.importorskip("mpmath")
         c = math.sqrt(c2)
         thetas = solve_spectrum(n, c).thetas
         l = np.arange(1, n + 1)
         assert np.all((l - 1) * math.pi / (n + 1) < thetas)
         assert np.all(thetas <= l * math.pi / (n + 1))
-        phase = (n + 1) * thetas + 2 * np.arctan2(c * np.sin(thetas), 1 - c * np.cos(thetas))
-        assert np.abs(phase / (l * math.pi) - 1).max() <= 1e-14
+        with mp.workdps(40):
+            c_mp = mp.mpf(c)
+            worst = max(
+                abs(((n + 1) * t + 2 * mp.atan2(c_mp * mp.sin(t), 1 - c_mp * mp.cos(t)))
+                    / (k * mp.pi) - 1)
+                for k, t in zip(l.tolist(), map(mp.mpf, thetas.tolist()))
+            )
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_eigenvalues_near_unit_overlap(self, n):
+        # near c = 1 the denominator 1-2c cos(theta)+c^2 cancels in float64
+        # unless written as (1-c)^2 + 4c sin^2(theta/2); the cancelling form
+        # is 1.8e-9 off at n=50
+        mp = pytest.importorskip("mpmath")
+        c = math.sqrt(0.999999)
+        with mp.workdps(40):
+            c_mp = mp.mpf(c)
+            gram = mp.matrix([[c_mp ** abs(i - j) for j in range(n)] for i in range(n)])
+            oracle = sorted(mp.eigsy(gram, eigvals_only=True), reverse=True)
+            lambdas = solve_spectrum(n, c).lambdas
+            worst = max(abs(mp.mpf(lam) / exact - 1)
+                        for lam, exact in zip(lambdas.tolist(), oracle))
+        assert worst <= 1e-12
 
     @pytest.mark.parametrize("c2", [1e-6, 0.5, 0.99])
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])

@@ -203,16 +203,15 @@ class TestMonteCarloHarness:
         b = monte_carlo("greedy", 6, 0.7, 5000, 99)
         assert a == b
 
-    def test_chunk_size_invariance(self):
-        a = monte_carlo("basic", 9, 0.6, 4001, 5, chunk_size=64)
-        b = monte_carlo("basic", 9, 0.6, 4001, 5, chunk_size=4096)
-        assert a == b
-        g1 = monte_carlo("greedy", 5, 0.6, 2001, 5, chunk_size=37)
-        g2 = monte_carlo("greedy", 5, 0.6, 2001, 5, chunk_size=2048)
-        assert g1 == g2
-        r1 = list(iter_trial_records("greedy", 50, 0.6, 500, 5, chunk_size=37))
-        r2 = list(iter_trial_records("greedy", 50, 0.6, 500, 5, chunk_size=4096))
-        assert r1 == r2
+    def test_chunk_size_invariance(self, monkeypatch):
+        def run(chunk_size, *args, records=False):
+            monkeypatch.setattr(online_module, "_CHUNK_SIZE", chunk_size)
+            return list(iter_trial_records(*args)) if records else monte_carlo(*args)
+
+        assert run(64, "basic", 9, 0.6, 4001, 5) == run(4096, "basic", 9, 0.6, 4001, 5)
+        assert run(37, "greedy", 5, 0.6, 2001, 5) == run(2048, "greedy", 5, 0.6, 2001, 5)
+        assert (run(37, "greedy", 50, 0.6, 500, 5, records=True)
+                == run(4096, "greedy", 50, 0.6, 500, 5, records=True))
 
     def test_records_match_scalar_simulators(self):
         # the vectorized engine and the step-by-step scalar ops follow the
