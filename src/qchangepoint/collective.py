@@ -10,8 +10,7 @@ Every square root comes from ``gram._symmetric_root``, and the bounds exist
 once, in the three bound functions; ``collective_summary`` applies them to
 W = G/n built from the closed-form spectrum.  The fixed point exists once
 too, in ``_fixed_point``, which needs only G and the priors;
-``optimal_povm_fixed_point`` adds G = S^T S and the POVM vectors around it,
-and ``collective_summary`` hands it ``build_gram``'s G for the value alone.
+``optimal_povm_fixed_point`` adds G = S^T S and the POVM vectors around it.
 """
 
 from __future__ import annotations
@@ -260,23 +259,21 @@ def collective_summary(
     """All collective figures at one (n, c) point under uniform priors.
 
     The bounds and the SRM come from the closed-form spectrum: W = G/n and
-    sqrt(W) = sqrt(G)/sqrt(n).  The fixed-point core iterates on the Gram
-    matrix G itself, one LAPACK eigendecomposition per step, and forms no
-    POVM vectors.
+    sqrt(W) = sqrt(G)/sqrt(n).  The solver is fed the states sqrt(G) and runs
+    one LAPACK eigendecomposition per step.
     """
     spectrum = solve_spectrum(n, c)
     root, q, lambda_max, rank_deficient = _symmetric_root(spectrum.lambdas, spectrum.eigvecs)
-    gram = build_gram(n, c)
-    uniform = WeightedGram(n=n, matrix=gram / n,
+    uniform = WeightedGram(n=n, matrix=build_gram(n, c) / n,
                            sqrt_matrix=root.matrix / math.sqrt(n), q=q,
                            lambda_max=lambda_max / n, rank_deficient=rank_deficient)
-    fixed_point_opt = _fixed_point(gram, np.full(n, 1.0 / n), tol, max_iter)[0]
+    result = optimal_povm_fixed_point(root.matrix, np.full(n, 1.0 / n), tol=tol, max_iter=max_iter)
     return CollectiveSummary(
         n=n,
         c=c,
         lower_bound=success_lower_bound(uniform),
         srm=srm_success(uniform),
-        fixed_point_opt=fixed_point_opt,
+        fixed_point_opt=result.success_probability,
         upper_bound=success_upper_bound(uniform),
         asymptotic=asymptotic_pmax(c),
     )

@@ -551,10 +551,23 @@ class TestSweepContent:
 
     def test_overlap_next_to_one(self, capsys):
         # the largest float below 1: the spectrum stays finite and the sweep
-        # finishes with a number in every collective column
+        # finishes with a number in every collective column.  The numbers are
+        # not all right: see test_ordering_next_to_one
         assert cli.main(["sweep", "--n", "3", "--c2", "0.9999999999999999"]) == 0
         cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert all(math.isfinite(float(cell)) for cell in cells[2:7])
+
+    @pytest.mark.xfail(strict=True, reason="fixed_point_opt falls below lower_bound: the "
+                       "solver's 1e-12 pseudo-inverse cut drops two of G's three "
+                       "directions (ROADMAP item 2)")
+    def test_ordering_next_to_one(self, capsys):
+        # known violation, recorded as a FOUND line in CHANGES.md; a fix
+        # makes this test pass, and strict=True then reports it
+        assert cli.main(["sweep", "--n", "3", "--c2", "0.9999999999999999"]) == 0
+        cells = [float(cell) for cell in
+                 capsys.readouterr().out.strip().split("\n")[1].split(",")[2:6]]
+        lower, srm, opt, upper = cells
+        assert lower - 1e-12 <= srm <= opt + 1e-12 <= upper + 2e-12
 
     def test_orthogonal_grid_point(self, capsys):
         # c2 = 0 is a valid grid value: every figure of merit is 1

@@ -305,8 +305,7 @@ class TestCollectiveSummary:
     @pytest.mark.parametrize("c2", [0.0, 0.36, 0.9, 0.99, 0.999999])
     def test_two_states_reach_helstrom(self, c2):
         # for two states every collective figure is the Helstrom value; at
-        # c^2 = 0.999999 a cancelling spectrum or a rebuilt S^T S misses it
-        # by about 1e-10
+        # c^2 = 0.999999 a cancelling spectrum misses it by about 1e-10
         c = math.sqrt(c2)
         helstrom = (1 + math.sqrt((1 - c) * (1 + c))) / 2
         summary = collective_summary(2, c)

@@ -125,12 +125,12 @@ class TestSolveSpectrum:
         # inside its analytic bracket ((l-1) pi/(n+1), l pi/(n+1)].  The phase
         # is evaluated at 40 digits: in float64, 1 - c cos(theta) cancels as
         # c -> 1 exactly as a cancelling solver would, and hides its error
-        mp = pytest.importorskip("mpmath")
         c = math.sqrt(c2)
         thetas = solve_spectrum(n, c).thetas
         l = np.arange(1, n + 1)
         assert np.all((l - 1) * math.pi / (n + 1) < thetas)
         assert np.all(thetas <= l * math.pi / (n + 1))
+        mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             c_mp = mp.mpf(c)
             worst = max(
