@@ -32,8 +32,6 @@ from .gram import (
     SqrtGram,
     build_gram,
     diag_deviation_asymptotic,
-    gram_inverse,
-    integral_i_r,
     jacobi_eigensolve,
     solve_spectrum,
     sqrt_gram,
@@ -51,7 +49,7 @@ from .online import (
     simulate_greedy_trial,
 )
 from .rng import CounterRng, mix64, trial_seed
-from .special import boundary_polynomial, elliptic_k, phase_amplitude
+from .special import elliptic_k, phase_amplitude
 
 __version__ = "0.1.0"
 
@@ -68,16 +66,13 @@ __all__ = [
     "WeightedGram",
     "asymptotic_pmax",
     "basic_local_closed_form",
-    "boundary_polynomial",
     "build_gram",
     "collective_summary",
     "diag_deviation_asymptotic",
     "elliptic_k",
     "embed_states",
     "exact_greedy_enumeration",
-    "gram_inverse",
     "helstrom_measurement",
-    "integral_i_r",
     "iter_trial_records",
     "jacobi_eigensolve",
     "mix64",

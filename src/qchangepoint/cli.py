@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -244,10 +245,11 @@ def _staged_outputs(*paths: Optional[str]) -> Iterator[list]:
     """Yield a temp-file handle per path (None for None); rename all together at the end.
 
     Every temp file is created before the caller computes anything, so an
-    unwritable path fails at once.  The files are renamed only after all of
-    them are complete; on any exception every temp file is removed, and so
-    is any file the run has already renamed, so a failed run leaves none of
-    its files.  An OSError is re-raised as _OutputError naming the output.
+    unwritable path, or one that names a directory, fails at once.  The
+    files are renamed only after all of them are complete; on any exception
+    every temp file is removed, and so is any file the run has already
+    renamed, so a failed run leaves none of its files.  An OSError is
+    re-raised as _OutputError naming the output.
     """
     umask = os.umask(0)
     os.umask(umask)
@@ -260,6 +262,9 @@ def _staged_outputs(*paths: Optional[str]) -> Iterator[list]:
             handle = None
             if path is not None:
                 concerned = target = Path(path)
+                if target.is_dir():
+                    # the final rename would fail, after all the computing
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
                 fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".",
                                                 suffix=".tmp")
                 handle = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
@@ -338,6 +343,9 @@ def _montecarlo_config(raw: dict[str, str]) -> tuple[dict, str, list, int]:
     if strategy not in ("basic", "greedy"):
         raise ConfigError(f"strategy must be basic or greedy, got {strategy!r}")
     points = _grid_points(raw)
+    out, records = settings["out"], raw.get("records")
+    if out is not None and records is not None and Path(out).resolve() == Path(records).resolve():
+        raise ConfigError(f"out and records name the same file: {records}")
     return settings, strategy, points, _int_at_least(raw, "trials", "100000", 1)
 
 

@@ -6,7 +6,9 @@ corner corrections.  Eigenvalue angles are the zeros of the boundary
 polynomial; each has an analytic bracket of width pi/(n+1), and all n are
 bisected at once to full float precision.  Every collective figure is
 read off one square-root step, ``_symmetric_root``, fed by this spectrum or
-by LAPACK.  A round-robin Jacobi eigensolver is the test oracle only.
+by LAPACK.  A round-robin Jacobi eigensolver is the test oracle only; it
+stays here because the benchmark in ``perfbench/`` times it.  The other
+oracles (the boundary polynomial, the I_r quadrature) live in the tests.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DegenerateEnsembleError, SpectralFailureError
 from .special import elliptic_k
@@ -25,13 +26,11 @@ __all__ = [
     "GramSpectrum",
     "SqrtGram",
     "build_gram",
-    "gram_inverse",
     "solve_spectrum",
     "sqrt_gram",
     "jacobi_eigensolve",
     "sqrt_trace_limit",
     "diag_deviation_asymptotic",
-    "integral_i_r",
 ]
 
 _JACOBI_OFF_TOL = 1e-12
@@ -75,25 +74,14 @@ def _check_overlap(c: float, n: int = 1) -> None:
 
 
 def build_gram(n: int, c: float) -> np.ndarray:
-    """Toeplitz Gram matrix G_ij = c^{|i-j|} of the n source states."""
-    _check_overlap(c, n)
-    return toeplitz(c ** np.arange(n, dtype=float))
+    """Toeplitz Gram matrix G_ij = c^{|i-j|} of the n source states.
 
-
-def gram_inverse(n: int, c: float) -> np.ndarray:
-    """Closed-form inverse of the Gram matrix.
-
-    G^{-1} = (1+c^2)/(1-c^2) I - c/(1-c^2) H where H has unit first
-    off-diagonals and corner entries c at (1,1) and (n,n).
+    Row i is the length-n window of (c^{n-1}, ..., c, 1, c, ..., c^{n-1})
+    that starts at n-1-i, copied out of one strided view.
     """
     _check_overlap(c, n)
-    h = np.zeros((n, n))
-    off = np.arange(n - 1)
-    h[off, off + 1] = 1.0
-    h[off + 1, off] = 1.0
-    h[0, 0] += c
-    h[n - 1, n - 1] += c
-    return ((1.0 + c * c) * np.eye(n) - c * h) / (1.0 - c * c)
+    powers = c ** np.arange(n, dtype=float)
+    return sliding_window_view(np.concatenate((powers[:0:-1], powers)), n)[::-1].copy()
 
 
 def solve_spectrum(n: int, c: float) -> GramSpectrum:
@@ -227,29 +215,3 @@ def diag_deviation_asymptotic(k: int, c: float) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_overlap(c)
     return c ** (2 * k) / (4.0 * (1.0 - c * c) * math.sqrt(2.0 * math.pi * k**3))
-
-
-def integral_i_r(r: int, c: float, mode: str = "exact") -> float:
-    """Oscillatory integral of cos(r theta)/(1-2c cos(theta)+c^2)^{3/2} on (0, pi).
-
-    mode="exact" uses adaptive quadrature with the oscillatory cosine weight;
-    mode="asymptotic" evaluates the large-r form 2 c^r sqrt(pi r)/(1-c^2)^{3/2}.
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    _check_overlap(c)
-    if mode == "asymptotic":
-        return 2.0 * c**r * math.sqrt(math.pi * r) / (1.0 - c * c) ** 1.5
-    if mode != "exact":
-        raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
-    value, _ = quad(
-        lambda t: (1.0 - 2.0 * c * math.cos(t) + c * c) ** -1.5,
-        0.0,
-        math.pi,
-        weight="cos",
-        wvar=r,
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return value

@@ -1,14 +1,13 @@
 """Scalar special-function kernel.
 
-The characteristic polynomial of the boundary-perturbed tridiagonal matrix,
-its phase/amplitude form on the unit circle, and the complete elliptic
-integral of the first kind.
+The complete elliptic integral of the first kind, which fixes the large-n
+asymptote, and the phase/amplitude form of the boundary polynomial on the
+unit circle.
 
-The library solves the spectrum from the boundary phase (``gram``), so the
-first two have no library caller.  ``boundary_polynomial`` stays as the
-independent oracle for the bisected angles.  ``phase_amplitude`` stays
-because the tests check its identity with the polynomial and the benchmark
-in ``perfbench/`` counts its calls.
+The library solves the spectrum from the boundary phase (``gram``), so
+``phase_amplitude`` has no library caller.  It stays here only because the
+benchmark in ``perfbench/`` counts its calls; the polynomial itself, its
+oracle, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "boundary_polynomial",
     "phase_amplitude",
     "elliptic_k",
 ]
@@ -25,27 +23,12 @@ _AGM_RTOL = 1e-15
 _AGM_MAX_ITER = 60
 
 
-def boundary_polynomial(n: int, c: float, x: float) -> float:
-    """Characteristic polynomial U_n(x) - 2c U_{n-1}(x) + c^2 U_{n-2}(x).
-
-    Its n roots x_l give the eigenvalues 2 x_l of the tridiagonal matrix with
-    unit off-diagonals and corner entries c; those in turn fix the Gram
-    matrix spectrum.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"overlap c must lie in [0, 1), got {c}")
-    # one shared recurrence pass instead of three evaluations
-    u_nm2, u_nm1 = 0.0, 1.0  # U_{-1}, U_0
-    for _ in range(n - 1):
-        u_nm2, u_nm1 = u_nm1, 2.0 * x * u_nm1 - u_nm2
-    u_n = 2.0 * x * u_nm1 - u_nm2
-    return u_n - 2.0 * c * u_nm1 + c * c * u_nm2
-
-
 def phase_amplitude(theta: float, c: float) -> tuple[float, float]:
     """Amplitude and phase of the boundary polynomial at x = cos(theta).
+
+    The boundary polynomial is U_n(x) - 2c U_{n-1}(x) + c^2 U_{n-2}(x), with
+    U_n the Chebyshev polynomials of the second kind; its n roots fix the
+    Gram matrix spectrum.
 
     Returns (A, delta) such that the boundary polynomial of any order n
     evaluates to A(theta) * sin(n*theta + delta(theta)), with

@@ -1,0 +1,67 @@
+"""Independent oracles for the spectral layer, used by the tests only.
+
+Each is computed a different way from the library code it checks, and this
+module imports nothing from ``qchangepoint``, so an error in the library
+cannot leak into its own reference value.
+
+* ``boundary_polynomial`` evaluates the characteristic polynomial by its
+  three-term recurrence; the library bisects the angles on a phase equation
+  instead.
+* ``integral_i_r`` is the oscillatory integral behind the large-k deviation
+  of diag(sqrt G), by adaptive quadrature or by its large-r asymptote.
+"""
+
+from __future__ import annotations
+
+import math
+
+from scipy.integrate import quad
+
+
+def _check_overlap(c: float) -> None:
+    if not 0.0 <= c < 1.0:
+        raise ValueError(f"overlap c must lie in [0, 1), got {c}")
+
+
+def boundary_polynomial(n: int, c: float, x: float) -> float:
+    """Characteristic polynomial U_n(x) - 2c U_{n-1}(x) + c^2 U_{n-2}(x).
+
+    Its n roots x_l give the eigenvalues 2 x_l of the tridiagonal matrix with
+    unit off-diagonals and corner entries c; those in turn fix the Gram
+    matrix spectrum.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_overlap(c)
+    # one shared recurrence pass instead of three evaluations
+    u_nm2, u_nm1 = 0.0, 1.0  # U_{-1}, U_0
+    for _ in range(n - 1):
+        u_nm2, u_nm1 = u_nm1, 2.0 * x * u_nm1 - u_nm2
+    u_n = 2.0 * x * u_nm1 - u_nm2
+    return u_n - 2.0 * c * u_nm1 + c * c * u_nm2
+
+
+def integral_i_r(r: int, c: float, mode: str = "exact") -> float:
+    """Oscillatory integral of cos(r theta)/(1-2c cos(theta)+c^2)^{3/2} on (0, pi).
+
+    mode="exact" uses adaptive quadrature with the oscillatory cosine weight;
+    mode="asymptotic" evaluates the large-r form 2 c^r sqrt(pi r)/(1-c^2)^{3/2}.
+    """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    _check_overlap(c)
+    if mode == "asymptotic":
+        return 2.0 * c**r * math.sqrt(math.pi * r) / (1.0 - c * c) ** 1.5
+    if mode != "exact":
+        raise ValueError(f"mode must be 'exact' or 'asymptotic', got {mode!r}")
+    value, _ = quad(
+        lambda t: (1.0 - 2.0 * c * math.cos(t) + c * c) ** -1.5,
+        0.0,
+        math.pi,
+        weight="cos",
+        wvar=r,
+        epsabs=1e-13,
+        epsrel=1e-12,
+        limit=200,
+    )
+    return value

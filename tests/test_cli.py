@@ -199,10 +199,16 @@ class TestConfigHandling:
          "--records", "/nonexistent/r.jsonl"],
         # a key given twice in one config file
         ["sweep", "--config", "{tmp}/dup.cfg"],
+        # --out and --records naming one file: the records would replace the summary
+        ["montecarlo", "--strategy", "basic", "--n", "2", "--c2", "0.5", "--trials", "4",
+         "--out", "{tmp}/mc.out", "--records", "{tmp}/mc.out"],
+        ["montecarlo", "--strategy", "basic", "--n", "2", "--c2", "0.5", "--trials", "4",
+         "--out", "{tmp}/mc.out", "--records", "{tmp}/sub/../mc.out"],
     ])
     def test_invalid_configs_exit_2(self, tmp_path, capsys, argv):
         (tmp_path / "dup.cfg").write_text("n = 2\nc2 = 0.36\nn = 3\n")
         assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["dup.cfg"]
         if "{tmp}/dup.cfg" in argv:
             assert capsys.readouterr().err.endswith("dup.cfg:3: duplicate key 'n'\n")
 
@@ -373,17 +379,46 @@ class TestUnwritableOutput:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_rename_removes_every_file(self, tmp_path, capsys):
-        # --out is renamed first; the records target is a directory, so its
-        # rename fails and the run's summary file is removed again
-        (tmp_path / "records").mkdir()
+    def test_failed_rename_removes_every_file(self, tmp_path, monkeypatch, capsys):
+        # --out is renamed first; the records rename fails, and the run's
+        # summary file is removed again
+        out, records = tmp_path / "mc.csv", tmp_path / "r.jsonl"
+        original = os.replace
+        renamed = []
+
+        def replace(src, dst):
+            if str(dst) == str(records):
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+            renamed.append(str(dst))
+            return original(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
         argv = ["montecarlo", "--strategy", "basic", "--n", "3", "--c2", "0.5", "--trials", "10",
-                "--out", str(tmp_path / "mc.csv"), "--records", str(tmp_path / "records")]
+                "--out", str(out), "--records", str(records)]
         assert cli.main(argv) == 3
-        assert capsys.readouterr().err.startswith(
-            f"qchangepoint: cannot write {tmp_path / 'records'}: ")
-        assert [p.name for p in tmp_path.iterdir()] == ["records"]
-        assert list((tmp_path / "records").iterdir()) == []
+        assert renamed == [str(out)]
+        assert capsys.readouterr().err == (
+            f"qchangepoint: cannot write {records}: {os.strerror(errno.EACCES)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "300", "--c2", "0.9", "--out", "{target}"],
+        ["montecarlo", "--strategy", "basic", "--n", "3", "--c2", "0.5",
+         "--out", "{tmp}/mc.csv", "--records", "{target}"],
+    ])
+    def test_directory_target_fails_before_computing(self, tmp_path, monkeypatch, capsys, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before the outputs were created")
+
+        for name in ("run_sweep", "run_montecarlo"):
+            monkeypatch.setattr(cli, name, never)
+        target = tmp_path / "target"
+        target.mkdir()
+        assert cli.main([a.format(target=target, tmp=tmp_path) for a in argv]) == 3
+        assert capsys.readouterr().err == (
+            f"qchangepoint: cannot write {target}: {os.strerror(errno.EISDIR)}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+        assert list(target.iterdir()) == []
 
     def test_write_error_names_the_outputs(self, tmp_path, monkeypatch, capsys):
         def disk_full(*args):

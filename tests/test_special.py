@@ -1,12 +1,13 @@
-"""Tests for the scalar special-function kernel."""
+"""Tests for the scalar special-function kernel and the boundary-polynomial oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import boundary_polynomial
 from scipy.integrate import quad
 
-from qchangepoint.special import boundary_polynomial, elliptic_k, phase_amplitude
+from qchangepoint.special import elliptic_k, phase_amplitude
 
 
 def _delta_grid(thetas: np.ndarray, c: float) -> np.ndarray:
