@@ -11,6 +11,9 @@ once, in the three bound functions; ``collective_summary`` applies them to
 W = G/n built from the closed-form spectrum.  The fixed point exists once
 too, in ``_fixed_point``, which needs only G and the priors;
 ``optimal_povm_fixed_point`` adds G = S^T S and the POVM vectors around it.
+When the priors equal their reversal and G is persymmetric, as the
+change-point Gram matrix is, each step splits into a reversal-even and a
+reversal-odd block of about n/2 each; otherwise G is the one block.
 """
 
 from __future__ import annotations
@@ -164,31 +167,90 @@ def embed_states(gram: np.ndarray) -> np.ndarray:
     return root.matrix
 
 
+def _reversal_blocks(gram: np.ndarray, priors: np.ndarray):
+    """The blocks the fixed point runs on, and the index classes they act on.
+
+    G_ij = c^|i-j| is persymmetric (J G J = G, J the reversal).  With priors
+    that equal their reversal the steering weights stay symmetric, and every
+    M = sqrt(w) G sqrt(w) splits into a block on the reversal-even vectors
+    (e_i + e_{n-1-i})/sqrt(2) and e_m at the middle of odd n, of size
+    ceil(n/2), and one on the reversal-odd vectors (e_i - e_{n-1-i})/sqrt(2),
+    of size floor(n/2) (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).
+    Index i and its mirror then form one class, and the weights live on the
+    first ceil(n/2) indices.
+
+    Returns (blocks, classes), classes[i] being the class of index i.  Each
+    block is (matrix, rows, scale): entry i of the block's basis vector j is
+    scale[i] if rows[i] == j and 0 otherwise, so row i of its eigenvectors
+    unfolded to full length is scale[i] * vecs[rows[i]].  Without the
+    symmetry, or more than 1e-12 of max|G| away from it, G itself is the
+    single block and each index is its own class.
+    """
+    n = gram.shape[0]
+    index = np.arange(n)
+    flipped = gram[::-1, ::-1]
+    if (n == 1 or not np.array_equal(priors, priors[::-1])
+            or np.abs(gram - flipped).max() > _RANK_TOL * np.abs(gram).max()):
+        return [(gram, index, np.ones(n))], index
+    half, pairs = (n + 1) // 2, n // 2
+    symmetric = (gram + flipped) / 2.0
+    mirrored = symmetric[:half, ::-1][:, :half]  # entry (i, j) is symmetric[i, n-1-j]
+    even = symmetric[:half, :half] + mirrored
+    odd = symmetric[:pairs, :pairs] - mirrored[:pairs, :pairs]
+    if n % 2:
+        # the middle basis vector is e_m, not a normalised pair
+        even[pairs] /= math.sqrt(2.0)
+        even[:, pairs] /= math.sqrt(2.0)
+    mirror = index[::-1]
+    classes = np.minimum(index, mirror)
+    norm = np.where(index == mirror, 1.0, math.sqrt(0.5))
+    # the odd vectors vanish at the middle index, whatever row it points at
+    odd_rows = np.minimum(classes, pairs - 1)
+    return [(even, classes, norm), (odd, odd_rows, np.sign(mirror - index) * norm)], classes
+
+
 def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int):
     """The fixed-point iteration on the Gram matrix alone; see optimal_povm_fixed_point.
 
-    Returns (value, iterations, residual, converged, (root_w, vecs, root_vals)),
-    the last being the eigendecomposition of M at the returned iterate.
+    Runs on the blocks of ``_reversal_blocks`` with one weight per index
+    class.  Returns (value, iterations, residual, converged,
+    (root_w, vecs, root_vals)), the last being the eigendecomposition of M at
+    the returned iterate, unfolded to full length.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    n = gram.shape[0]
+    blocks, classes = _reversal_blocks(gram, priors)
+    counts = np.bincount(classes).astype(float)
+    size = counts.size
+    priors = priors[:size]
+    # each class counts once per member in the success probability
+    class_priors = counts * priors
 
     def steer(weights: np.ndarray):
         # M shares its nonzero spectrum with the state-space aggregate
         # B B^T; pseudo-invert anything below 1e-12 of the top eigenvalue
+        # over all blocks.  A block's (M^{1/2})_ii is shared by the members
+        # of class i, so the diagonal is the sum over blocks over the count.
         root_w = np.sqrt(weights)
-        vals, vecs = np.linalg.eigh(root_w[:, np.newaxis] * gram * root_w)
-        kept = vals > _RANK_TOL * max(float(vals[-1]), 0.0)
-        root_vals = np.sqrt(np.where(kept, vals, 0.0))
+        eigs = []
+        for block, _, _ in blocks:
+            root = root_w[: block.shape[0]]
+            eigs.append(np.linalg.eigh(root[:, np.newaxis] * block * root))
+        top = max(max(float(vals[-1]), 0.0) for vals, _ in eigs)
+        diagonal = np.zeros(size)
+        parts = []
+        for vals, vecs in eigs:
+            root_vals = np.sqrt(np.where(vals > _RANK_TOL * top, vals, 0.0))
+            diagonal[: vals.size] += (vecs**2) @ root_vals
+            parts.append((vecs, root_vals))
         overlaps = np.divide(
-            (vecs**2) @ root_vals, root_w, out=np.zeros(n), where=root_w > 0.0
+            diagonal / counts, root_w, out=np.zeros(size), where=root_w > 0.0
         )
-        return overlaps, (root_w, vecs, root_vals)
+        return overlaps, (root_w, parts)
 
     # square root measurement: steering weights equal to the priors
     overlaps, current = steer(priors)
-    success = float((priors * overlaps**2).sum())
+    success = float((class_priors * overlaps**2).sum())
     best, best_success = current, success
 
     iterations = 0
@@ -196,7 +258,7 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
     converged = False
     for iterations in range(1, max_iter + 1):
         overlaps, current = steer(priors * overlaps**2)
-        new_success = float((priors * overlaps**2).sum())
+        new_success = float((class_priors * overlaps**2).sum())
         gain = new_success - success
         success = new_success
         if success > best_success:
@@ -207,7 +269,14 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
             break
     if not converged:
         current, success = best, best_success
-    return success, iterations, residual, converged, current
+
+    root_w, parts = current
+    vecs = np.hstack([
+        scale[:, np.newaxis] * block_vecs[rows]
+        for (_, rows, scale), (block_vecs, _) in zip(blocks, parts)
+    ])
+    root_vals = np.concatenate([root_vals for _, root_vals in parts])
+    return success, iterations, residual, converged, (root_w[classes], vecs, root_vals)
 
 
 def optimal_povm_fixed_point(
@@ -231,7 +300,10 @@ def optimal_povm_fixed_point(
     The iteration runs in Gram form.  With steering weights w, B = S diag(sqrt w)
     and M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the elements are E_k = g_k g_k^T
     with g = B M^{-1/2}, and <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k).  A step is
-    one n x n eigendecomposition of M; the vectors g are formed once at the end.
+    one n x n eigendecomposition of M, or, when the priors equal their reversal
+    and G = J G J to 1e-12 of max|G| (J the reversal), one of size ceil(n/2) and
+    one of size floor(n/2), about a quarter of the cost each; the vectors g are
+    formed once at the end.
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[1]
@@ -259,8 +331,9 @@ def collective_summary(
     """All collective figures at one (n, c) point under uniform priors.
 
     The bounds and the SRM come from the closed-form spectrum: W = G/n and
-    sqrt(W) = sqrt(G)/sqrt(n).  The solver is fed the states sqrt(G) and runs
-    one LAPACK eigendecomposition per step.
+    sqrt(W) = sqrt(G)/sqrt(n).  The solver is fed the states sqrt(G); uniform
+    priors are reversal-symmetric, so it runs two half-size LAPACK
+    eigendecompositions per step.
     """
     spectrum = solve_spectrum(n, c)
     root, q, lambda_max, rank_deficient = _symmetric_root(spectrum.lambdas, spectrum.eigvecs)

@@ -21,6 +21,7 @@ import qchangepoint
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+SELFTEST = ROOT / "perfbench" / "selftest.py"
 PACKAGE = ROOT / "src" / "qchangepoint"
 ORACLES = ROOT / "tests" / "oracles.py"
 
@@ -84,3 +85,12 @@ def test_cli_run_loads_no_scipy(tmp_path):
     )
     assert result.stdout == "[]\n"
     assert (tmp_path / "warm.csv").read_text().count("\n") == 2
+
+
+def test_benchmark_selftest_passes():
+    # the selftest traces a sweep and counts the solver under its traced
+    # name, so moving the solver off that name fails here, not only in a
+    # benchmark run
+    result = subprocess.run([sys.executable, str(SELFTEST)], cwd=ROOT,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from qchangepoint.collective import (
+    _reversal_blocks,
     asymptotic_pmax,
     collective_summary,
     embed_states,
@@ -59,6 +60,16 @@ def state_space_fixed_point(states, priors, tol=1e-10, max_iter=10_000):
                 return value, g, iterations, True
             break
     return best[0], best[1], iterations, False
+
+
+def assert_matches_state_space_reference(states, priors):
+    result = optimal_povm_fixed_point(states, priors)
+    value, g, iterations, converged = state_space_fixed_point(states, priors)
+    assert result.success_probability == pytest.approx(value, abs=1e-12)
+    assert result.iterations == iterations
+    assert result.converged == converged
+    oracle_povm = np.einsum("ik,jk->kij", g, g)
+    assert np.abs(result.povm - oracle_povm).max() < 1e-10
 
 
 class TestWeightedGram:
@@ -246,13 +257,50 @@ class TestFixedPointSolver:
     def test_matches_state_space_reference(self, n, c):
         states = embed_states(build_gram(n, c))
         priors = np.random.default_rng([n, int(100 * c)]).dirichlet(np.ones(n))
-        result = optimal_povm_fixed_point(states, priors)
-        value, g, iterations, converged = state_space_fixed_point(states, priors)
-        assert result.success_probability == pytest.approx(value, abs=1e-12)
-        assert result.iterations == iterations
-        assert result.converged == converged
-        oracle_povm = np.einsum("ik,jk->kij", g, g)
-        assert np.abs(result.povm - oracle_povm).max() < 1e-10
+        assert_matches_state_space_reference(states, priors)
+
+    @pytest.mark.parametrize("c", [0.3, 0.8, 0.97])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9])
+    @pytest.mark.parametrize("draw", ["uniform", "dirichlet"])
+    def test_reversal_split_matches_state_space_reference(self, n, c, draw):
+        # reversal-symmetric priors on the persymmetric chain take the split
+        # into even and odd blocks; the oracle runs on the full state space
+        states = embed_states(build_gram(n, c))
+        priors = uniform(n)
+        if draw == "dirichlet":
+            p = np.random.default_rng([n, int(100 * c)]).dirichlet(np.ones(n))
+            priors = (p + p[::-1]) / 2
+        blocks, _ = _reversal_blocks(states.T @ states, priors)
+        assert [block.shape[0] for block, _, _ in blocks] == ([1] if n == 1 else [(n + 1) // 2, n // 2])
+        assert_matches_state_space_reference(states, priors)
+
+    def test_symmetric_priors_on_asymmetric_states_match_reference(self):
+        # symmetric priors alone must not split: the states' Gram matrix is
+        # not persymmetric, so the solver runs on the whole of it
+        n = 6
+        states = np.random.default_rng(13).normal(size=(n, n))
+        states /= np.linalg.norm(states, axis=0)
+        priors = np.array([0.1, 0.15, 0.25, 0.25, 0.15, 0.1])
+        blocks, _ = _reversal_blocks(states.T @ states, priors)
+        assert len(blocks) == 1
+        assert_matches_state_space_reference(states, priors)
+
+    @pytest.mark.parametrize("n", [150, 149])
+    def test_uniform_solve_runs_on_half_size_blocks(self, monkeypatch, n):
+        # timing-free guard on the split: under uniform priors every solver
+        # step is one eigendecomposition per block, of sizes ceil(n/2) and
+        # floor(n/2), and collective_summary runs no other eigh
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(matrix, *args, **kwargs):
+            sizes.append(np.shape(matrix)[0])
+            return eigh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        collective_summary(n, 0.9)
+        assert sizes
+        assert sizes == [75, n - 75] * (len(sizes) // 2)
 
     def test_zero_prior_gives_zero_element(self):
         states = embed_states(build_gram(4, 0.6))
