@@ -29,7 +29,6 @@ from .exceptions import (
 )
 from .gram import (
     GramSpectrum,
-    SqrtGram,
     build_gram,
     diag_deviation_asymptotic,
     jacobi_eigensolve,
@@ -61,7 +60,6 @@ __all__ = [
     "ImpossibleOutcomeError",
     "PovmSolverResult",
     "SpectralFailureError",
-    "SqrtGram",
     "TrialRecord",
     "WeightedGram",
     "asymptotic_pmax",

@@ -6,10 +6,12 @@ closed-form large-n asymptote, and a fixed-point solver for the optimal POVM.
 The solver stops when its gain falls below a tolerance; it is not monotone,
 and a step that lowers the value ends it unconverged at the best iterate.
 
-Every square root comes from ``gram._symmetric_root``, and the bounds exist
-once, in the three bound functions; ``collective_summary`` applies them to
-W = G/n built from the closed-form spectrum.  The fixed point exists once
-too, in ``_fixed_point``, which needs only G and the priors;
+Every ``WeightedGram`` is built by ``_weighted`` from an eigendecomposition
+of W: its square root (``gram._symmetric_root``), lambda_max and rank flag
+are written there once.  ``weighted_gram`` and ``embed_states`` pass it
+LAPACK's eigenpairs, ``collective_summary`` the closed-form ones of W = G/n.
+The bounds exist once, in the three bound functions.  The fixed point
+exists once too, in ``_fixed_point``, which needs only G and the priors;
 ``optimal_povm_fixed_point`` adds G = S^T S and the POVM vectors around it.
 When the priors equal their reversal and G is persymmetric, as the
 change-point Gram matrix is, each step splits into a reversal-even and a
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateEnsembleError
-from .gram import _RANK_TOL, _symmetric_root, build_gram, solve_spectrum
+from .gram import _symmetric_root, build_gram, solve_spectrum
 from .special import elliptic_k
 
 __all__ = [
@@ -42,21 +44,20 @@ __all__ = [
 ]
 
 _PRIOR_TOL = 1e-12
+_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class WeightedGram:
     """Prior-weighted Gram matrix W_ij = sqrt(p_i p_j) G_ij and derived data.
 
-    q is the probability vector diag(sqrt(W))/tr(sqrt(W)); lambda_max the
-    largest eigenvalue of W.  rank_deficient flags a numerically singular W
-    (some prior zero, or overlaps collapsing the span).
+    lambda_max is the largest eigenvalue of W.  rank_deficient flags a
+    numerically singular W (some prior zero, or overlaps collapsing the span).
     """
 
     n: int
     matrix: np.ndarray
     sqrt_matrix: np.ndarray
-    q: np.ndarray
     lambda_max: float
     rank_deficient: bool
 
@@ -76,13 +77,7 @@ class PovmSolverResult:
     success_probability: float
     vectors: np.ndarray
     iterations: int
-    residual: float
     converged: bool
-
-    @property
-    def povm(self) -> np.ndarray:
-        """Dense elements, shape (n, d, d); povm[k] is the element for guess k."""
-        return np.einsum("ik,jk->kij", self.vectors, self.vectors)
 
 
 @dataclass(frozen=True)
@@ -107,6 +102,15 @@ def _checked_priors(priors: np.ndarray, n: int) -> np.ndarray:
     return priors
 
 
+def _weighted(w: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> WeightedGram:
+    """The record of W from an eigendecomposition of it; eigenvalues at or
+    below 1e-12 max(lambda_max, 1) flag rank deficiency."""
+    lambda_max = float(eigenvalues.max())
+    rank_deficient = bool(eigenvalues.min() <= _RANK_TOL * max(lambda_max, 1.0))
+    return WeightedGram(n=w.shape[0], matrix=w, sqrt_matrix=_symmetric_root(eigenvalues, eigenvectors),
+                        lambda_max=lambda_max, rank_deficient=rank_deficient)
+
+
 def weighted_gram(gram: np.ndarray, priors: np.ndarray) -> WeightedGram:
     """Weight the Gram matrix by priors and take its square root.
 
@@ -117,9 +121,7 @@ def weighted_gram(gram: np.ndarray, priors: np.ndarray) -> WeightedGram:
     gram = np.asarray(gram, dtype=float)
     root_p = np.sqrt(_checked_priors(priors, gram.shape[0]))
     w = root_p[:, np.newaxis] * gram * root_p[np.newaxis, :]
-    root, q, lambda_max, rank_deficient = _symmetric_root(*np.linalg.eigh(w))
-    return WeightedGram(n=w.shape[0], matrix=w, sqrt_matrix=root.matrix, q=q,
-                        lambda_max=lambda_max, rank_deficient=rank_deficient)
+    return _weighted(w, *np.linalg.eigh(w))
 
 
 def success_lower_bound(weighted: WeightedGram) -> float:
@@ -128,8 +130,10 @@ def success_lower_bound(weighted: WeightedGram) -> float:
 
 
 def success_upper_bound(weighted: WeightedGram) -> float:
-    """Lower bound plus sqrt(n lambda_max) * l1-distance of q from uniform."""
-    deviation = float(np.abs(weighted.q - 1.0 / weighted.n).sum())
+    """Lower bound plus sqrt(n lambda_max) * l1-distance of q from uniform,
+    where q = diag(sqrt(W)) / tr(sqrt(W))."""
+    diagonal = np.diag(weighted.sqrt_matrix)
+    deviation = float(np.abs(diagonal / diagonal.sum() - 1.0 / weighted.n).sum())
     return success_lower_bound(weighted) + math.sqrt(weighted.n * weighted.lambda_max) * deviation
 
 
@@ -158,13 +162,14 @@ def embed_states(gram: np.ndarray) -> np.ndarray:
     Returns sqrt(G); column k is the k-th state, so pairwise inner products
     reproduce the Gram matrix exactly.
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(np.asarray(gram, dtype=float))
-    root, _, _, rank_deficient = _symmetric_root(eigenvalues, eigenvectors)
-    if rank_deficient:
+    gram = np.asarray(gram, dtype=float)
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    embedded = _weighted(gram, eigenvalues, eigenvectors)
+    if embedded.rank_deficient:
         raise DegenerateEnsembleError(
             f"Gram matrix is rank deficient (min eigenvalue {eigenvalues[0]:.3e})"
         )
-    return root.matrix
+    return embedded.sqrt_matrix
 
 
 def _reversal_blocks(gram: np.ndarray, priors: np.ndarray):
@@ -213,9 +218,9 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
     """The fixed-point iteration on the Gram matrix alone; see optimal_povm_fixed_point.
 
     Runs on the blocks of ``_reversal_blocks`` with one weight per index
-    class.  Returns (value, iterations, residual, converged,
-    (root_w, vecs, root_vals)), the last being the eigendecomposition of M at
-    the returned iterate, unfolded to full length.
+    class.  Returns (value, iterations, converged, (root_w, vecs, root_vals)),
+    the last being the eigendecomposition of M at the returned iterate,
+    unfolded to full length.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -254,7 +259,6 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
     best, best_success = current, success
 
     iterations = 0
-    residual = math.inf
     converged = False
     for iterations in range(1, max_iter + 1):
         overlaps, current = steer(priors * overlaps**2)
@@ -263,7 +267,6 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
         success = new_success
         if success > best_success:
             best, best_success = current, success
-        residual = abs(gain)
         if gain < tol:
             converged = gain > -1e-12
             break
@@ -276,7 +279,7 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
         for (_, rows, scale), (block_vecs, _) in zip(blocks, parts)
     ])
     root_vals = np.concatenate([root_vals for _, root_vals in parts])
-    return success, iterations, residual, converged, (root_w[classes], vecs, root_vals)
+    return success, iterations, converged, (root_w[classes], vecs, root_vals)
 
 
 def optimal_povm_fixed_point(
@@ -308,7 +311,7 @@ def optimal_povm_fixed_point(
     states = np.asarray(states, dtype=float)
     n = states.shape[1]
     priors = _checked_priors(priors, n)
-    success, iterations, residual, converged, (root_w, vecs, root_vals) = _fixed_point(
+    success, iterations, converged, (root_w, vecs, root_vals) = _fixed_point(
         states.T @ states, priors, tol, max_iter
     )
     inv_root = np.divide(1.0, root_vals, out=np.zeros(n), where=root_vals > 0.0)
@@ -317,7 +320,6 @@ def optimal_povm_fixed_point(
         success_probability=success,
         vectors=vectors,
         iterations=iterations,
-        residual=residual,
         converged=converged,
     )
 
@@ -330,17 +332,16 @@ def collective_summary(
 ) -> CollectiveSummary:
     """All collective figures at one (n, c) point under uniform priors.
 
-    The bounds and the SRM come from the closed-form spectrum: W = G/n and
-    sqrt(W) = sqrt(G)/sqrt(n).  The solver is fed the states sqrt(G); uniform
-    priors are reversal-symmetric, so it runs two half-size LAPACK
-    eigendecompositions per step.
+    The bounds and the SRM come from the closed-form spectrum: W = G/n has
+    the eigenvalues lambda_l/n of G and its eigenvectors.  The solver is fed
+    the states sqrt(n) sqrt(W) = sqrt(G); uniform priors are
+    reversal-symmetric, so it runs two half-size LAPACK eigendecompositions
+    per step.
     """
     spectrum = solve_spectrum(n, c)
-    root, q, lambda_max, rank_deficient = _symmetric_root(spectrum.lambdas, spectrum.eigvecs)
-    uniform = WeightedGram(n=n, matrix=build_gram(n, c) / n,
-                           sqrt_matrix=root.matrix / math.sqrt(n), q=q,
-                           lambda_max=lambda_max / n, rank_deficient=rank_deficient)
-    result = optimal_povm_fixed_point(root.matrix, np.full(n, 1.0 / n), tol=tol, max_iter=max_iter)
+    uniform = _weighted(build_gram(n, c) / n, spectrum.lambdas / n, spectrum.eigvecs)
+    result = optimal_povm_fixed_point(math.sqrt(n) * uniform.sqrt_matrix, np.full(n, 1.0 / n),
+                                      tol=tol, max_iter=max_iter)
     return CollectiveSummary(
         n=n,
         c=c,

@@ -4,11 +4,13 @@ The n source states (change at position k) have pairwise overlaps c^{|i-j|},
 a symmetric Toeplitz Gram matrix whose inverse is tridiagonal up to two
 corner corrections.  Eigenvalue angles are the zeros of the boundary
 polynomial; each has an analytic bracket of width pi/(n+1), and all n are
-bisected at once to full float precision.  Every collective figure is
-read off one square-root step, ``_symmetric_root``, fed by this spectrum or
-by LAPACK.  A round-robin Jacobi eigensolver is the test oracle only; it
-stays here because the benchmark in ``perfbench/`` times it.  The other
-oracles (the boundary polynomial, the I_r quadrature) live in the tests.
+bisected at once to full float precision, in a form of the phase equation
+that keeps relative precision as c -> 1.  Every collective figure is read
+off one square root, ``_symmetric_root`` (V diag(sqrt(lambda)) V^T and
+nothing else), fed by this spectrum or by LAPACK.  A round-robin Jacobi
+eigensolver is the test oracle only; it stays here because the benchmark
+in ``perfbench/`` times it.  The other oracles (the boundary polynomial,
+the I_r quadrature) live in the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .special import elliptic_k
 
 __all__ = [
     "GramSpectrum",
-    "SqrtGram",
     "build_gram",
     "solve_spectrum",
     "sqrt_gram",
@@ -35,7 +36,6 @@ __all__ = [
 
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 60
-_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,6 @@ class GramSpectrum:
     thetas: np.ndarray
     lambdas: np.ndarray
     eigvecs: np.ndarray
-
-
-@dataclass(frozen=True)
-class SqrtGram:
-    """Matrix square root of the Gram matrix with its diagonal and trace."""
-
-    matrix: np.ndarray
-    diag: np.ndarray
-    trace: float
 
 
 def _check_overlap(c: float, n: int = 1) -> None:
@@ -90,7 +81,11 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
     The angle theta_l is the one root of the phase equation
     (n+1) theta + 2 phi(theta) = l pi, phi = atan2(c sin(theta), 1 - c cos(theta)),
     inside ((l-1) pi/(n+1), l pi/(n+1)]; the phase has slope >= n there.  All
-    n brackets are bisected at once down to adjacent floats.  Eigenvalues
+    n brackets are bisected at once down to adjacent floats, on the same
+    equation written with the complementary angle pi/2 - phi:
+    (n+1) theta - 2 atan2(1 - c cos(theta), c sin(theta)) = (l-1) pi.  At the
+    smallest angle both terms are then small and keep their relative
+    precision as c -> 1, where theta_1 ~ sqrt(1-c).  Eigenvalues
     follow as (1-c^2)/(1-2c cos(theta_l)+c^2).  Both denominators are written
     without cancellation as c -> 1: 1 - c cos(theta) = (1-c) + 2c sin^2(theta/2),
     1 - 2c cos(theta) + c^2 = (1-c)^2 + 4c sin^2(theta/2), and 1 - c^2 =
@@ -101,47 +96,40 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
     _check_overlap(c, n)
     j = np.arange(1, n + 1)
 
-    def boundary_phase(theta: np.ndarray) -> np.ndarray:
-        return np.arctan2(c * np.sin(theta), (1.0 - c) + 2.0 * c * np.sin(0.5 * theta) ** 2)
+    def phase_sides(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c sin(theta), 1 - c cos(theta)), the sides of the angle phi."""
+        return c * np.sin(theta), (1.0 - c) + 2.0 * c * np.sin(0.5 * theta) ** 2
 
-    target = j * math.pi
-    lo = (j - 1) * math.pi / (n + 1.0)
-    hi = target / (n + 1.0)
+    floor = (j - 1) * math.pi
+    lo = floor / (n + 1.0)
+    hi = j * math.pi / (n + 1.0)
     while True:
         mid = 0.5 * (lo + hi)
         inside = (lo < mid) & (mid < hi)
         if not inside.any():
             break
-        below = (n + 1.0) * mid + 2.0 * boundary_phase(mid) < target
+        opposite, adjacent = phase_sides(mid)
+        below = (n + 1.0) * mid - 2.0 * np.arctan2(adjacent, opposite) < floor
         lo = np.where(inside & below, mid, lo)
         hi = np.where(inside & ~below, mid, hi)
     thetas = hi
 
     lambdas = (1.0 - c) * (1.0 + c) / ((1.0 - c) ** 2 + 4.0 * c * np.sin(0.5 * thetas) ** 2)
-    vecs = np.sin(np.outer(j, thetas) + boundary_phase(thetas))
+    vecs = np.sin(np.outer(j, thetas) + np.arctan2(*phase_sides(thetas)))
     vecs /= np.linalg.norm(vecs, axis=0)
     return GramSpectrum(n=n, c=c, thetas=thetas, lambdas=lambdas, eigvecs=vecs)
 
 
-def _symmetric_root(
-    eigenvalues: np.ndarray, eigenvectors: np.ndarray
-) -> tuple[SqrtGram, np.ndarray, float, bool]:
-    """Root V diag(sqrt(lambda)) V^T, symmetrised, with its diagonal and trace;
-    q = diag/diag.sum(), lambda_max, and the rank flag lambda_min <= 1e-12
-    max(lambda_max, 1).  Negative eigenvalues count as zero."""
-    lambda_max = float(eigenvalues.max())
+def _symmetric_root(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:
+    """Root V diag(sqrt(lambda)) V^T, symmetrised; negative eigenvalues count as zero."""
     root_values = np.sqrt(np.clip(eigenvalues, 0.0, None))
     root = eigenvectors @ (root_values[:, np.newaxis] * eigenvectors.T)
-    root = 0.5 * (root + root.T)
-    diag = np.diag(root).copy()
-    rank_deficient = bool(eigenvalues.min() <= _RANK_TOL * max(lambda_max, 1.0))
-    return (SqrtGram(matrix=root, diag=diag, trace=float(root_values.sum())),
-            diag / diag.sum(), lambda_max, rank_deficient)
+    return 0.5 * (root + root.T)
 
 
-def sqrt_gram(spectrum: GramSpectrum) -> SqrtGram:
+def sqrt_gram(spectrum: GramSpectrum) -> np.ndarray:
     """Matrix square root synthesized from the spectral decomposition."""
-    return _symmetric_root(spectrum.lambdas, spectrum.eigvecs)[0]
+    return _symmetric_root(spectrum.lambdas, spectrum.eigvecs)
 
 
 def jacobi_eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -103,7 +103,7 @@ def test_criterion_03_spectral_oracle_equivalence():
                 float(np.abs(np.sort(spectrum.lambdas) - oracle_values).max()),
             )
             root = sqrt_gram(spectrum)
-            worst_sq = max(worst_sq, float(np.abs(root.matrix @ root.matrix - gram).max()))
+            worst_sq = max(worst_sq, float(np.abs(root @ root - gram).max()))
     elapsed = time.perf_counter() - start
     ok = worst_eig < 1e-10 and worst_sq < 1e-8 and elapsed < 30.0
     _report(3, "spectral oracle equivalence", ok,
@@ -168,7 +168,7 @@ def test_criterion_06_one_over_n_convergence():
     scaled = []
     for n in (20, 40, 80, 160):
         root = sqrt_gram(solve_spectrum(n, c))
-        srm = float((root.diag**2).sum()) / n
+        srm = float((np.diag(root) ** 2).sum()) / n
         scaled.append(n * abs(srm - limit))
     ratios = [b / a for a, b in zip(scaled[:-1], scaled[1:])]
     ok = all(0.5 <= r <= 2.0 for r in ratios)
@@ -261,7 +261,7 @@ def test_criterion_10_sqrt_diagonal_deviation():
         c = math.sqrt(c2)
         root = sqrt_gram(solve_spectrum(30, c))
         gamma = sqrt_trace_limit(c)
-        deviations = [float(root.diag[k - 1]) - gamma for k in range(1, 16)]
+        deviations = [float(root[k - 1, k - 1]) - gamma for k in range(1, 16)]
         monotone_ok &= all(a > b for a, b in zip(deviations[:-1], deviations[1:]))
         for k in range(3, 11):
             numeric = deviations[k - 1]

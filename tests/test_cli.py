@@ -1,5 +1,6 @@
 """Tests for the command-line experiment runner."""
 
+import csv
 import errno
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import stat
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,12 @@ RECORDS_GOLDEN = {
 }
 
 
+# the benchmark's recorded sweeps (perfbench/), read here and never written
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+FIGURE_C2 = ",".join(f"{0.05 * i:.2f}".rstrip("0").rstrip(".") for i in range(20))
+COLLECTIVE_COLUMNS = ("lower_bound", "srm", "fixed_point_opt", "upper_bound", "asymptotic")
+
+
 class TestGoldenOutputs:
     def test_sweep_golden_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -99,6 +107,34 @@ class TestGoldenOutputs:
     def test_stdout_when_no_out(self, capsys):
         assert cli.main(["sweep", "--n", "2", "--c2", "0.36"]) == 0
         assert capsys.readouterr().out == SWEEP_GOLDEN
+
+
+class TestBenchmarkReference:
+    @pytest.mark.parametrize("grid, reference", [
+        (["--n", "150,300,450", "--c2", "0.1,0.5,0.9,0.99"], "collective_scaling.csv"),
+        (["--n", "50", "--c2", FIGURE_C2], "fig_sweep_seed1.csv"),
+    ])
+    def test_collective_columns_match(self, tmp_path, grid, reference):
+        # the benchmark's two sweep grids against its recorded collective
+        # columns, to 1e-9.  The fixed-point value is checked one-sided, as
+        # the benchmark does: it is the success probability of a valid POVM,
+        # so a solver that converges further can only raise it
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", *grid, "--trials", "0", "--threads", "1",
+                         "--out", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        with open(REFERENCE_DIR / reference, newline="") as handle:
+            expected = list(csv.DictReader(handle))
+        assert [(r["n"], r["c2"]) for r in rows] == [(r["n"], r["c2"]) for r in expected]
+        for row, ref in zip(rows, expected):
+            for column in COLLECTIVE_COLUMNS:
+                got, want = float(row[column]), float(ref[column])
+                where = f"n={row['n']} c2={row['c2']} {column}"
+                if column == "fixed_point_opt":
+                    assert got >= want - 1e-9, where
+                else:
+                    assert got == pytest.approx(want, abs=1e-9), where
 
 
 class TestSpectrumCommand:

@@ -130,13 +130,17 @@ class TestSolveSpectrum:
             )
         assert worst <= 1e-14
 
+    @pytest.mark.parametrize("c2", [0.999999, 0.9999999999999999])
     @pytest.mark.parametrize("n", [2, 10, 50])
-    def test_eigenvalues_near_unit_overlap(self, n):
+    def test_eigenvalues_near_unit_overlap(self, n, c2):
         # near c = 1 the denominator 1-2c cos(theta)+c^2 cancels in float64
         # unless written as (1-c)^2 + 4c sin^2(theta/2); the cancelling form
-        # is 1.8e-9 off at n=50
+        # is 1.8e-9 off at n=50.  The angles must be bisected on the
+        # complementary-angle form of the phase equation: on
+        # (n+1) theta + 2 phi = pi the smallest angle (about 1e-8 at c one
+        # ulp below 1) loses 2e-8 of relative precision, 2e-13 at 0.999999
         mp = pytest.importorskip("mpmath")
-        c = math.sqrt(0.999999)
+        c = math.sqrt(c2)
         with mp.workdps(40):
             c_mp = mp.mpf(c)
             gram = mp.matrix([[c_mp ** abs(i - j) for j in range(n)] for i in range(n)])
@@ -144,7 +148,7 @@ class TestSolveSpectrum:
             lambdas = solve_spectrum(n, c).lambdas
             worst = max(abs(mp.mpf(lam) / exact - 1)
                         for lam, exact in zip(lambdas.tolist(), oracle))
-        assert worst <= 1e-12
+        assert worst <= 4e-15
 
     @pytest.mark.parametrize("c2", [1e-6, 0.5, 0.99])
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
@@ -187,24 +191,24 @@ class TestSqrtGram:
     def test_two_state_closed_form(self, c):
         root = sqrt_gram(solve_spectrum(2, c))
         expected = (math.sqrt(1 + c) + math.sqrt(1 - c)) / 2
-        np.testing.assert_allclose(root.diag, [expected, expected], atol=1e-12)
-        assert root.trace == pytest.approx(math.sqrt(1 + c) + math.sqrt(1 - c), abs=1e-12)
+        np.testing.assert_allclose(np.diag(root), [expected, expected], atol=1e-12)
+        assert np.trace(root) == pytest.approx(math.sqrt(1 + c) + math.sqrt(1 - c), abs=1e-12)
 
     def test_c_zero(self):
         root = sqrt_gram(solve_spectrum(4, 0.0))
-        np.testing.assert_allclose(root.matrix, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(root, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("c", C_GRID)
     @pytest.mark.parametrize("n", [2, 10, 55, 200])
     def test_square_reproduces_gram(self, n, c):
         root = sqrt_gram(solve_spectrum(n, c))
-        assert np.abs(root.matrix @ root.matrix - build_gram(n, c)).max() < 1e-8
+        assert np.abs(root @ root - build_gram(n, c)).max() < 1e-8
 
     @pytest.mark.parametrize("c2", [0.25, 0.5, 0.99])
     @pytest.mark.parametrize("n", [2, 3, 50])
     def test_sqrt_diagonal_persymmetric(self, n, c2):
         # G commutes with the reversal J, so diag(sqrt G)_k = diag(sqrt G)_{n+1-k}
-        diag = sqrt_gram(solve_spectrum(n, math.sqrt(c2))).diag
+        diag = np.diag(sqrt_gram(solve_spectrum(n, math.sqrt(c2))))
         assert np.abs(diag - diag[::-1]).max() <= 2e-14
 
     @pytest.mark.parametrize("c", [0.2, 0.6, 0.9])
@@ -213,7 +217,7 @@ class TestSqrtGram:
         root = sqrt_gram(solve_spectrum(n, c))
         values, vectors = jacobi_eigensolve(build_gram(n, c))
         oracle = vectors @ (np.sqrt(values)[:, None] * vectors.T)
-        assert np.abs(root.matrix - oracle).max() < 1e-8
+        assert np.abs(root - oracle).max() < 1e-8
 
 
 class TestJacobiEigensolve:
@@ -258,7 +262,7 @@ class TestTraceLimitAndDeviation:
         root = sqrt_gram(spectrum)
         lam_max = spectrum.lambdas.max()
         bound = 2 * math.sqrt(lam_max) * (n**-0.9 + 1.0 / n)
-        assert abs(root.trace / n - sqrt_trace_limit(c)) <= bound
+        assert abs(np.trace(root) / n - sqrt_trace_limit(c)) <= bound
 
     @pytest.mark.parametrize("c", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("n", [20, 50, 100, 200])
@@ -266,7 +270,7 @@ class TestTraceLimitAndDeviation:
         # l1 distance of diag(sqrt G)/tr(sqrt G) from uniform decays like
         # n^{-0.9} with the spectral-conditioning prefactor
         root = sqrt_gram(solve_spectrum(n, c))
-        q = root.diag / root.trace
+        q = np.diag(root) / np.trace(root)
         assert np.abs(q - 1.0 / n).sum() <= 4 * (1 + c) / (1 - c) * n**-0.9
 
     def test_deviation_formula_value(self):
@@ -279,7 +283,7 @@ class TestTraceLimitAndDeviation:
     def test_deviation_cross_check_against_numeric(self):
         # numeric diagonal deviation of sqrt(G) at n = 30 for overlap 0.5
         root = sqrt_gram(solve_spectrum(30, 0.5))
-        numeric = root.diag[4] - sqrt_trace_limit(0.5)
+        numeric = root[4, 4] - sqrt_trace_limit(0.5)
         assert diag_deviation_asymptotic(5, 0.5) == pytest.approx(numeric, rel=0.1)
 
     def test_deviation_decreasing_in_k(self):
@@ -348,7 +352,7 @@ class TestIntegralIr:
                 - c * c * integral_i_r(2 * k - 2, c, "exact")
             )
             integral_form = math.sqrt(1 - c * c) / math.pi * combo
-            numeric = root.diag[k - 1] - gamma
+            numeric = root[k - 1, k - 1] - gamma
             assert integral_form == pytest.approx(numeric, rel=1e-3)
 
     def test_mode_validation(self):
