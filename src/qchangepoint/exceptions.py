@@ -12,5 +12,5 @@ class SpectralFailureError(RuntimeError):
 
 
 class ImpossibleOutcomeError(ValueError):
-    """The greedy Monte Carlo engine's posterior has zero or undefined (NaN)
-    mass after a sampled outcome."""
+    """The Monte Carlo engine's posterior has zero or undefined (NaN) mass
+    after a sampled outcome."""

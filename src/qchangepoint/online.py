@@ -5,9 +5,11 @@ guess the first click (basic local), or run the per-step optimal two-state
 measurement between the default and mutated states with Bayesian posterior
 updates in between (greedy).  A seeded, counter-based Monte Carlo harness
 estimates their success probabilities; for small n an exact walk of the
-binary outcome tree provides the oracle value.  The Monte Carlo engine
-carries the greedy posterior as (tail weight, best weight, best index), so a
-trial costs O(n).  Beside it stands one full-posterior reference: a single
+binary outcome tree provides the oracle value.  One Monte Carlo loop runs
+both strategies, each given by its per-step click probabilities under the
+default and the mutated particle; it carries the posterior as (tail weight,
+best weight, best index), normalised so the larger weight is 1, so a trial
+costs O(n).  Beside it stands one full-posterior reference: a single
 greedy step, _greedy_click_probabilities, built from helstrom_measurement
 and nothing the engine uses.  simulate_greedy_trial replays a trial with it
 and exact_greedy_enumeration walks both of its outcomes; the engine is
@@ -212,38 +214,33 @@ def _draw_true_k(n: int, seeds: np.ndarray) -> np.ndarray:
     return np.minimum(n, 1 + (u0 * n).astype(np.int64))
 
 
-def _simulate_basic_chunk(n: int, c: float, seeds: np.ndarray):
-    true_k = _draw_true_k(n, seeds)
-    steps = np.arange(1, n + 1)
-    us = uniform_array(seeds[:, np.newaxis], steps[np.newaxis, :])
-    fires = (steps[np.newaxis, :] >= true_k[:, np.newaxis]) & (us < 1.0 - c * c)
-    any_fire = fires.any(axis=1)
-    guess = np.where(any_fire, fires.argmax(axis=1) + 1, n)
-    return true_k, guess, fires.astype(np.uint8)
+def _basic_likelihoods(p0, c: float):
+    """Click probabilities (a, b) of the computational-basis projector |1><1|."""
+    return 0.0, 1.0 - c * c
 
 
-def _outcome_phi_likelihoods(p0, pphi, c: float):
-    """Click probabilities of the phi-projector under each particle state.
+def _outcome_phi_likelihoods(p0, c: float):
+    """Click probabilities of the greedy phi-projector under each particle state.
 
     Returns (a, b) with a = <0|P_phi|0> and b = <phi|P_phi|phi> for the
     measurement that projects onto the strictly positive subspace of
-    pphi |phi><phi| - p0 |0><0|.  Accepts scalars or arrays for p0/pphi.
+    |phi><phi| - p0 |0><0|, p0 being the engine's normalised tail weight.
+    disc > 0 for every c < 1, so no division guard is needed.  The terms
+    keep the order of the two-weight form pphi |phi><phi| - p0 |0><0| at
+    pphi = 1, so every click and record stays the same to the last bit.
     """
     s2 = 1.0 - c * c
-    g00 = pphi * c * c - p0
-    g11 = pphi * s2
-    disc = np.hypot(g00 - g11, 2.0 * pphi * c * math.sqrt(s2))
-    lam_minus = 0.5 * ((pphi - p0) - disc)
-    safe = np.where(disc > 0.0, disc, 1.0)
-    a = (g00 - lam_minus) / safe
-    b = ((pphi - p0 * c * c) - lam_minus) / safe
-    zero = np.asarray(pphi) == 0.0
-    return np.where(zero, 0.0, a), np.where(zero, 0.0, b)
+    g00 = c * c - p0
+    disc = np.hypot(g00 - s2, 2.0 * c * math.sqrt(s2))
+    lam_minus = 0.5 * ((1.0 - p0) - disc)
+    return (g00 - lam_minus) / disc, ((1.0 - p0 * c * c) - lam_minus) / disc
 
 
-def _simulate_greedy_chunk(n: int, c: float, seeds: np.ndarray):
+def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods):
     # All k >= s have seen identical factors and all k < s share each step's,
-    # so (tail of k >= s, best of k < s, its index) suffices; rescale by the max.
+    # so (tail of k >= s, best of k < s, its index) suffices.  Both are divided
+    # by their maximum after every step, so the larger is exactly 1.0 and the
+    # step depends on the tail weight p0 alone.
     m = seeds.shape[0]
     true_k = _draw_true_k(n, seeds)
     tail = np.ones(m)
@@ -251,40 +248,35 @@ def _simulate_greedy_chunk(n: int, c: float, seeds: np.ndarray):
     best_idx = np.zeros(m, dtype=np.int64)
     outcomes = np.empty((m, n), dtype=np.uint8)
     for s in range(1, n + 1):
-        tail_wins = best < tail  # strict: ties keep the smaller index, like argmax
-        pphi = np.where(tail_wins, tail, best)
-        best_idx[tail_wins] = s
-        p0 = tail if s < n else np.zeros(m)
-        a, b = _outcome_phi_likelihoods(p0, pphi, c)
+        best_idx[best < tail] = s  # strict: ties keep the smaller index, like argmax
+        a, b = likelihoods(tail if s < n else 0.0, c)
         clicked = uniform_array(seeds, s) < np.where(true_k <= s, b, a)
-        best = pphi * np.where(clicked, b, 1.0 - b)
+        best = np.where(clicked, b, 1.0 - b)
         tail *= np.where(clicked, a, 1.0 - a)
         scale = np.maximum(best, tail) if s < n else best
         if not np.all(scale > 0.0):
             raise ImpossibleOutcomeError(
-                f"greedy posterior has zero or undefined mass after the outcome sampled at step {s}")
+                f"posterior has zero or undefined mass after the outcome sampled at step {s}")
         best /= scale
         tail /= scale
         outcomes[:, s - 1] = clicked
     return true_k, best_idx, outcomes
 
 
-_CHUNK_FUNCS = {"basic": _simulate_basic_chunk, "greedy": _simulate_greedy_chunk}
-
-
 def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int):
-    if strategy not in _CHUNK_FUNCS:
-        raise ValueError(f"strategy must be one of {sorted(_CHUNK_FUNCS)}, got {strategy!r}")
+    if strategy not in ("basic", "greedy"):
+        raise ValueError(f"strategy must be one of ['basic', 'greedy'], got {strategy!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_overlap(c)
-    simulate = _CHUNK_FUNCS[strategy]
+    # looked up per call, not bound at import, so a patched kernel takes effect
+    likelihoods = _outcome_phi_likelihoods if strategy == "greedy" else _basic_likelihoods
     for start in range(0, trials, _CHUNK_SIZE):
         idx = np.arange(start, min(start + _CHUNK_SIZE, trials), dtype=np.uint64)
         seeds = trial_seed_array(base_seed, idx)
-        true_k, guess, outcomes = simulate(n, c, seeds)
+        true_k, guess, outcomes = _simulate_chunk(n, c, seeds, likelihoods)
         yield seeds, true_k, guess, outcomes
 
 

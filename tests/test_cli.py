@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import hashlib
 import json
 import math
 import os
@@ -135,6 +136,22 @@ class TestBenchmarkReference:
                     assert got >= want - 1e-9, where
                 else:
                     assert got == pytest.approx(want, abs=1e-9), where
+
+    def test_montecarlo_records_match(self, tmp_path):
+        # the benchmark's two montecarlo --records runs at its reference seed,
+        # byte for byte against the recorded sha256 of every output
+        expected = json.loads((REFERENCE_DIR / "records_audit_seed1.json").read_text())
+        digests = {}
+        for strategy, n, c2, trials in (("basic", "50", "0.5", "100000"),
+                                        ("greedy", "12", "0.3,0.7", "50000")):
+            out = tmp_path / f"records_{strategy}.csv"
+            records = tmp_path / f"records_{strategy}.jsonl"
+            assert cli.main(["montecarlo", "--strategy", strategy, "--n", n, "--c2", c2,
+                             "--trials", trials, "--seed", "1", "--threads", "1",
+                             "--out", str(out), "--records", str(records)]) == 0
+            for path in (out, records):
+                digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == expected
 
 
 class TestSpectrumCommand:
@@ -521,13 +538,14 @@ class TestRecordTemplate:
         assert consumed == list(range(12))
         assert max(backlog) <= 3
 
-    def test_records_memory_is_flat(self, tmp_path):
+    @pytest.mark.parametrize("strategy", ["basic", "greedy"])
+    def test_records_memory_is_flat(self, tmp_path, strategy):
         # the records are streamed: the peak stays near the engine's own
         # chunk buffers (about 17.5 MB) for 200000 records (about 36 MB of text)
         records = tmp_path / "records.jsonl"
         tracemalloc.start()
         try:
-            rc = cli.main(["montecarlo", "--strategy", "greedy", "--n", "50", "--c2", "0.5",
+            rc = cli.main(["montecarlo", "--strategy", strategy, "--n", "50", "--c2", "0.5",
                            "--trials", "200000", "--out", str(tmp_path / "mc.csv"),
                            "--records", str(records)])
             _, peak = tracemalloc.get_traced_memory()

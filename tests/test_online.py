@@ -1,6 +1,7 @@
 """Tests for the online measurement strategies and the Monte Carlo harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,47 @@ class TestHelstromMeasurement:
             helstrom_measurement(0.0, 0.0, 0.5)
 
 
+class TestStepKernels:
+    @pytest.mark.parametrize("c", [0.0, 0.3, 0.6, 0.9, 0.999])
+    @pytest.mark.parametrize("p0", [0.0, 1e-300, 0.01, 0.5, 0.99, 1.0])
+    def test_greedy_kernel_matches_helstrom(self, p0, c):
+        # the engine's kernel takes the tail weight over the best weight, so
+        # it is the reference measurement at pphi = 1
+        projector, _ = helstrom_measurement(p0, 1.0, c)
+        default, mutated = qubit_pair(c)
+        a, b = online_module._outcome_phi_likelihoods(p0, c)
+        assert a == pytest.approx(default @ projector @ default, abs=1e-12)
+        assert b == pytest.approx(mutated @ projector @ mutated, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 0.6, 0.9, 0.999])
+    def test_basic_kernel_is_the_computational_basis(self, c):
+        default, mutated = qubit_pair(c)
+        projector = np.diag([0.0, 1.0])
+        a, b = online_module._basic_likelihoods(0.5, c)
+        assert a == default @ projector @ default
+        assert b == pytest.approx(mutated @ projector @ mutated, abs=1e-15)
+
+    @pytest.mark.parametrize("c2", [0.0, 0.3, 0.9])
+    def test_engine_feeds_normalised_tail_weights(self, monkeypatch, c2):
+        # the kernel needs no division guard because p0 is the tail weight
+        # over a best weight of exactly 1: it lies in [0, 1], and the last
+        # step has no tail at all
+        n, seen = 12, []
+        kernel = online_module._outcome_phi_likelihoods
+
+        def recording(p0, c):
+            seen.append(np.array(p0, dtype=float))
+            return kernel(p0, c)
+
+        monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", recording)
+        monte_carlo("greedy", n, math.sqrt(c2), 3000, 17)
+        assert len(seen) == n
+        for p0 in seen[:-1]:
+            assert p0.min() >= 0.0 and p0.max() <= 1.0
+        np.testing.assert_array_equal(seen[0], 1.0)
+        assert seen[-1] == 0.0
+
+
 class TestGreedyTrial:
     def test_orthogonal_always_succeeds(self):
         for true_k in range(1, 7):
@@ -173,8 +215,8 @@ class TestExactEnumeration:
         exact = exact_greedy_enumeration(8, c)
         engine_step = online_module._outcome_phi_likelihoods
 
-        def skewed(p0, pphi, c):
-            a, b = engine_step(p0, pphi, c)
+        def skewed(p0, c):
+            a, b = engine_step(p0, c)
             return a + 0.1 * (b - a), b - 0.1 * (b - a)
 
         monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", skewed)
@@ -258,26 +300,38 @@ class TestMonteCarloHarness:
         # earlier index, as argmax over the full posterior would
         seen = []
 
-        def flat_likelihoods(p0, pphi, c):
-            seen.append((np.array(p0), np.array(pphi)))
-            return np.full_like(pphi, 0.5), np.full_like(pphi, 0.5)
+        def flat_likelihoods(p0, c):
+            seen.append(np.array(p0))
+            return 0.5, 0.5
 
         monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", flat_likelihoods)
         records = list(iter_trial_records("greedy", 5, 0.5, 200, 3))
-        # p0 is the tail weight and pphi the best weight for steps 2 .. n-1
-        for tail, best in seen[1:4]:
-            np.testing.assert_array_equal(best, tail)
+        # p0 is the tail weight over the best, so a tie reads 1 at steps 2 .. n-1
+        for p0 in seen[1:4]:
+            np.testing.assert_array_equal(p0, np.ones(200))
         assert [r.guess for r in records] == [1] * 200
 
     def test_undefined_posterior_raises(self, monkeypatch):
         # a NaN click probability under the mutated state leaves the best
         # weight undefined after the first outcome
-        def nan_b(p0, pphi, c):
-            return np.full_like(pphi, 0.5), np.full_like(pphi, np.nan)
+        def nan_b(p0, c):
+            return 0.5, np.nan
 
         monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", nan_b)
         with pytest.raises(ImpossibleOutcomeError, match="at step 1$"):
             monte_carlo("greedy", 5, 0.6, 100, 1)
+
+    def test_basic_memory_at_n_2000(self):
+        # a chunk holds n outcome bytes and a few scalars per trial, no
+        # (trials x n) float matrix: 4 MB of outcomes at n = 2000
+        tracemalloc.start()
+        try:
+            estimate, _ = monte_carlo("basic", 2000, math.sqrt(0.5), 2000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < estimate < 1.0
+        assert peak < 10e6
 
     def test_validation(self):
         with pytest.raises(ValueError):
