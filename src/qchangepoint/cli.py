@@ -320,7 +320,7 @@ def _sweep_config(raw: dict[str, str]) -> tuple[dict, list, int, float, int]:
     points = _grid_points(raw)
     trials = _int_at_least(raw, "trials", "0", 0)
     fp_tol = _parse_float("fp_tol", raw.get("fp_tol", "1e-10"))
-    if fp_tol <= 0.0:
+    if not fp_tol > 0.0:
         raise ConfigError(f"fp_tol must be > 0, got {fp_tol}")
     return settings, points, trials, fp_tol, _int_at_least(raw, "fp_max_iter", "10000", 1)
 

@@ -2,7 +2,8 @@
 
 Prior-weighted Gram matrix, the trace-square-root lower/upper bounds on the
 optimal identification probability, the square-root-measurement value, the
-closed-form large-n asymptote, and a fixed-point solver for the optimal POVM.
+closed-form large-n asymptote (gram.sqrt_trace_limit squared), and a
+fixed-point solver for the optimal POVM.
 The solver stops when its gain falls below a tolerance; it is not monotone,
 and a step that lowers the value ends it unconverged at the best iterate.
 
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateEnsembleError
-from .gram import _symmetric_root, build_gram, solve_spectrum
-from .special import elliptic_k
+from .gram import _symmetric_root, build_gram, solve_spectrum, sqrt_trace_limit
 
 __all__ = [
     "WeightedGram",
@@ -145,15 +145,13 @@ def srm_success(weighted: WeightedGram) -> float:
 def asymptotic_pmax(c: float) -> float:
     """Large-n optimal identification probability 4(1-c^2)/pi^2 * K(c^2)^2.
 
+    It is gram.sqrt_trace_limit squared, the limit of (tr sqrt(G) / n)^2.
     Returns 1 at c=0 (orthogonal states) and 0 for c >= 1, where the states
     become indistinguishable and the success probability vanishes as 1/n.
     """
-    if c < 0.0:
-        raise ValueError(f"overlap c must be >= 0, got {c}")
     if c >= 1.0:
         return 0.0
-    k = elliptic_k(c * c)
-    return 4.0 * (1.0 - c * c) / math.pi**2 * k * k
+    return sqrt_trace_limit(c) ** 2
 
 
 def embed_states(gram: np.ndarray) -> np.ndarray:
@@ -222,7 +220,7 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
     the last being the eigendecomposition of M at the returned iterate,
     unfolded to full length.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     blocks, classes = _reversal_blocks(gram, priors)
     counts = np.bincount(classes).astype(float)

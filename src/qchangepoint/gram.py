@@ -56,7 +56,7 @@ class GramSpectrum:
 def _check_overlap(c: float, n: int = 1) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError(f"overlap c must be >= 0, got {c}")
     if c >= 1.0:
         raise DegenerateEnsembleError(

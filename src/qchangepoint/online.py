@@ -13,7 +13,10 @@ costs O(n).  Beside it stands one full-posterior reference: a single
 greedy step, _greedy_click_probabilities, built from helstrom_measurement
 and nothing the engine uses.  simulate_greedy_trial replays a trial with it
 and exact_greedy_enumeration walks both of its outcomes; the engine is
-tested against both.
+tested against both.  simulate_basic_local is the first-click policy's
+scalar trial, kept beside it for the same check.  iter_trial_records reads
+each chunk's outcome buffer in place, so the records hold no more memory
+than monte_carlo.  The (n, c) rule is gram's _check_overlap.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .exceptions import ImpossibleOutcomeError
+from .gram import _check_overlap
 from .rng import CounterRng, trial_seed_array, uniform_array
 
 __all__ = [
@@ -40,11 +44,6 @@ __all__ = [
 
 _ENUMERATION_MAX_N = 12
 _CHUNK_SIZE = 32768
-
-
-def _check_overlap(c: float) -> None:
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"overlap c must lie in [0, 1), got {c}")
 
 
 def qubit_pair(c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -69,9 +68,7 @@ class TrialRecord(NamedTuple):
 
 def basic_local_closed_form(n: int, c: float) -> float:
     """Exact success probability 1 - c^2 + c^2/n of the basic local strategy."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_overlap(c)
+    _check_overlap(c, n)
     return 1.0 - c * c + c * c / n
 
 
@@ -185,14 +182,12 @@ def exact_greedy_enumeration(n: int, c: float) -> float:
     down both branches of each greedy step; the number of branches doubles
     per step, so n is capped at 12.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_overlap(c, n)
     if n > _ENUMERATION_MAX_N:
         raise ValueError(
             f"enumeration is limited to n <= {_ENUMERATION_MAX_N} "
             f"(2^n outcome branches), got {n}"
         )
-    _check_overlap(c)
     total = 0.0
     # stack holds (step, P(outcomes so far | k)); uniform prior folds in at the leaves
     stack: list[tuple[int, np.ndarray]] = [(1, np.ones(n))]
@@ -268,9 +263,7 @@ def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int
         raise ValueError(f"strategy must be one of ['basic', 'greedy'], got {strategy!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_overlap(c)
+    _check_overlap(c, n)
     # looked up per call, not bound at import, so a patched kernel takes effect
     likelihoods = _outcome_phi_likelihoods if strategy == "greedy" else _basic_likelihoods
     for start in range(0, trials, _CHUNK_SIZE):
@@ -310,9 +303,10 @@ def iter_trial_records(
 ) -> Iterator[TrialRecord]:
     """Per-trial records from the same engine and stream as monte_carlo."""
     for seeds, true_k, guess, outcomes in _chunked_trials(strategy, n, c, trials, base_seed):
-        # one fixed-width ASCII '0'/'1' string per trial, built for the whole chunk
-        bit_strings = (outcomes + ord("0")).view(f"S{n}").ravel().astype(f"U{n}")
+        # the chunk's buffer is fresh and read by nothing else, so it turns
+        # into ASCII '0'/'1' in place: one n-byte string per trial
+        outcomes += ord("0")
         for k, g, bits, seed in zip(
-            true_k.tolist(), guess.tolist(), bit_strings.tolist(), seeds.tolist()
+            true_k.tolist(), guess.tolist(), outcomes.view(f"S{n}").ravel(), seeds.tolist()
         ):
-            yield TrialRecord(k, g, bits, g == k, seed)
+            yield TrialRecord(k, g, bits.decode(), g == k, seed)

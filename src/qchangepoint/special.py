@@ -54,7 +54,7 @@ def elliptic_k(m: float) -> float:
     the parameter m = k^2, not the modulus k.  Computed by the
     arithmetic-geometric mean iteration.
     """
-    if m < 0.0:
+    if not m >= 0.0:
         raise ValueError(f"parameter m must be >= 0, got {m}")
     if m >= 1.0:
         raise ValueError(f"elliptic_k diverges for m >= 1, got {m}")

@@ -1,4 +1,4 @@
-"""The public API, its dependency line and the functions the benchmark traces.
+"""The public API, its overlap rule, its dependency line and the traced functions.
 
 ``perfbench/run.py --trace 1`` wraps the functions named in
 ``perfbench/tracing.py``; removing or renaming one breaks the traced run,
@@ -9,6 +9,7 @@ only runtime dependency; scipy is for the tests and their oracles.
 import ast
 import importlib
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -39,6 +40,22 @@ def _top_level_imports(path: Path) -> set[str]:
 
 def test_public_names_resolve():
     assert [name for name in qchangepoint.__all__ if not hasattr(qchangepoint, name)] == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: qchangepoint.build_gram(3, c),
+    lambda c: qchangepoint.solve_spectrum(3, c),
+    lambda c: qchangepoint.collective_summary(3, c),
+    lambda c: qchangepoint.asymptotic_pmax(c),
+    lambda c: qchangepoint.basic_local_closed_form(3, c),
+    lambda c: qchangepoint.monte_carlo("basic", 3, c, 10, 1),
+    lambda c: qchangepoint.elliptic_k(c),
+], ids=["build_gram", "solve_spectrum", "collective_summary", "asymptotic_pmax",
+        "basic_local_closed_form", "monte_carlo", "elliptic_k"])
+def test_nan_overlap_rejected(call):
+    # every check is written so that a comparison with NaN fails it
+    with pytest.raises(ValueError):
+        call(math.nan)
 
 
 def test_traced_functions_exist():

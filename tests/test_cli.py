@@ -244,6 +244,7 @@ class TestConfigHandling:
         ["sweep", "--n", "2", "--c2", "0.5", "--trials", "-1"],
         ["sweep", "--n", "2", "--c2", "0.5", "--seed", "-1"],
         ["sweep", "--n", "2", "--c2", "0.5", "--threads", "0"],
+        ["sweep", "--n", "40", "--c2", "0.5", "--fp-tol", "nan"],
         ["montecarlo", "--strategy", "basic", "--n", "2", "--c2", "0.5", "--trials", "0"],
         ["montecarlo", "--n", "2", "--c2", "0.5"],      # missing strategy
         # a configuration error is reported before any output file is made

@@ -335,6 +335,8 @@ class TestFixedPointSolver:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             optimal_povm_fixed_point(np.eye(2), uniform(2), tol=0.0)
+        with pytest.raises(ValueError):
+            optimal_povm_fixed_point(np.eye(2), uniform(2), tol=math.nan)
 
     def test_rejects_bad_priors(self):
         # the priors check of weighted_gram, shape included: one prior for

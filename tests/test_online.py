@@ -333,6 +333,19 @@ class TestMonteCarloHarness:
         assert 0.0 < estimate < 1.0
         assert peak < 10e6
 
+    def test_basic_records_memory_at_n_2000(self):
+        # the records read the chunk's outcome buffer in place: no second
+        # (trials x n) array and no list of the chunk's strings beside it
+        tracemalloc.start()
+        try:
+            records = iter_trial_records("basic", 2000, math.sqrt(0.5), 2000, 5)
+            successes = sum(r.success for r in records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < successes < 2000
+        assert peak < 10e6
+
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo("smart", 5, 0.5, 10, 1)
