@@ -371,8 +371,8 @@ def run_spectrum_dump(config: tuple[dict, int, float, int]) -> list[dict]:
     _, n, c2, kmax = config
     c = math.sqrt(c2)
     spectrum = solve_spectrum(n, c)
-    # only the printed diagonal of sqrt(G), not the whole matrix
-    diag = (spectrum.eigvecs[:kmax] ** 2) @ np.sqrt(spectrum.lambdas)
+    # only the printed rows of the eigenvector matrix and diagonal of sqrt(G)
+    diag = (spectrum.eigenvector_rows(kmax) ** 2) @ np.sqrt(spectrum.lambdas)
     gamma = sqrt_trace_limit(c)
     rows: list[dict] = []
     for l in range(n):

@@ -97,7 +97,7 @@ def _checked_priors(priors: np.ndarray, n: int) -> np.ndarray:
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (n,):
         raise ValueError(f"priors shape {priors.shape} does not match n={n}")
-    if np.any(priors < 0.0) or abs(priors.sum() - 1.0) > _PRIOR_TOL:
+    if not np.all(priors >= 0.0) or abs(priors.sum() - 1.0) > _PRIOR_TOL:
         raise ValueError("priors must be nonnegative and sum to 1")
     return priors
 

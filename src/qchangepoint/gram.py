@@ -5,7 +5,9 @@ a symmetric Toeplitz Gram matrix whose inverse is tridiagonal up to two
 corner corrections.  Eigenvalue angles are the zeros of the boundary
 polynomial; each has an analytic bracket of width pi/(n+1), and all n are
 bisected at once to full float precision, in a form of the phase equation
-that keeps relative precision as c -> 1.  Every collective figure is read
+that keeps relative precision as c -> 1.  The eigenvectors are sines with a
+closed-form norm, so a caller builds only the rows it reads; the full
+matrix is formed on first use.  Every collective figure is read
 off one square root, ``_symmetric_root`` (V diag(sqrt(lambda)) V^T and
 nothing else), fed by this spectrum or by LAPACK.  A round-robin Jacobi
 eigensolver is the test oracle only; it stays here because the benchmark
@@ -16,7 +18,9 @@ the I_r quadrature) live in the tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,18 +46,37 @@ _JACOBI_MAX_SWEEPS = 60
 class GramSpectrum:
     """Exact eigendecomposition of the n x n Gram matrix.
 
-    thetas are sorted ascending, so lambdas come out descending; eigvecs
-    holds the normalized eigenvectors as columns, matching the theta order.
+    thetas are sorted ascending, so lambdas come out descending.  Entry j
+    (1-based) of eigenvector l is sin(j theta_l + phases_l) / norms_l, the
+    norm in closed form.  eigenvector_rows(count) builds the first count
+    rows of the eigenvector matrix; eigvecs builds all n on first use and
+    keeps them (the eigenvectors as columns, in theta order).
     """
 
     n: int
     c: float
     thetas: np.ndarray
     lambdas: np.ndarray
-    eigvecs: np.ndarray
+    phases: np.ndarray
+    norms: np.ndarray
+
+    def eigenvector_rows(self, count: int) -> np.ndarray:
+        """Rows 1..count of the eigenvector matrix, shape (count, n)."""
+        j = np.arange(1, count + 1)
+        return np.sin(np.outer(j, self.thetas) + self.phases) / self.norms
+
+    @cached_property
+    def eigvecs(self) -> np.ndarray:
+        """The normalized eigenvectors as columns."""
+        return self.eigenvector_rows(self.n)
 
 
-def _check_overlap(c: float, n: int = 1) -> None:
+def _check_overlap(c: float, n: int = 1) -> int:
+    """Check the (n, c) rule shared by every entry point; returns n as an int."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not c >= 0.0:
@@ -62,6 +85,7 @@ def _check_overlap(c: float, n: int = 1) -> None:
         raise DegenerateEnsembleError(
             f"overlap c must be < 1 for linearly independent states, got {c}"
         )
+    return n
 
 
 def build_gram(n: int, c: float) -> np.ndarray:
@@ -70,7 +94,7 @@ def build_gram(n: int, c: float) -> np.ndarray:
     Row i is the length-n window of (c^{n-1}, ..., c, 1, c, ..., c^{n-1})
     that starts at n-1-i, copied out of one strided view.
     """
-    _check_overlap(c, n)
+    n = _check_overlap(c, n)
     powers = c ** np.arange(n, dtype=float)
     return sliding_window_view(np.concatenate((powers[:0:-1], powers)), n)[::-1].copy()
 
@@ -91,9 +115,14 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
     1 - 2c cos(theta) + c^2 = (1-c)^2 + 4c sin^2(theta/2), and 1 - c^2 =
     (1-c)(1+c).  Eigenvector components
     sin(j theta) - c sin((j-1) theta) equal R sin(j theta + phi) with R > 0,
-    so they are built from one sine each and normalized by their summed norm.
+    so each is one sine.  Their squared norm, sum_j sin^2(j theta + phi) =
+    n/2 - sin(n theta) cos((n+1) theta + 2 phi) / (2 sin(theta)), reduces by
+    the phase equation to n/2 + sin(2 psi - theta) / (2 sin(theta)) with
+    psi = pi/2 - phi: no large argument and no cancellation.  So the
+    spectrum costs O(n) per bisection step and no eigenvector entry is
+    formed until one is read.
     """
-    _check_overlap(c, n)
+    n = _check_overlap(c, n)
     j = np.arange(1, n + 1)
 
     def phase_sides(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,9 +144,11 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
     thetas = hi
 
     lambdas = (1.0 - c) * (1.0 + c) / ((1.0 - c) ** 2 + 4.0 * c * np.sin(0.5 * thetas) ** 2)
-    vecs = np.sin(np.outer(j, thetas) + np.arctan2(*phase_sides(thetas)))
-    vecs /= np.linalg.norm(vecs, axis=0)
-    return GramSpectrum(n=n, c=c, thetas=thetas, lambdas=lambdas, eigvecs=vecs)
+    opposite, adjacent = phase_sides(thetas)
+    complement = np.arctan2(adjacent, opposite)
+    norms = np.sqrt(0.5 * n + np.sin(2.0 * complement - thetas) / (2.0 * np.sin(thetas)))
+    return GramSpectrum(n=n, c=c, thetas=thetas, lambdas=lambdas,
+                        phases=np.arctan2(opposite, adjacent), norms=norms)
 
 
 def _symmetric_root(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> np.ndarray:

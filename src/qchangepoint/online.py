@@ -106,7 +106,7 @@ def helstrom_measurement(p0: float, pphi: float, c: float) -> tuple[np.ndarray, 
     eigenvalue goes to the 0-outcome, I - P) with the per-step success
     probability (pphi + p0 + tr|Gamma|) / 2.
     """
-    if p0 < 0.0 or pphi < 0.0:
+    if not p0 >= 0.0 or not pphi >= 0.0:
         raise ValueError(f"priors must be >= 0, got p0={p0}, pphi={pphi}")
     if p0 == 0.0 and pphi == 0.0:
         raise ValueError("priors p0 and pphi must not both be zero")

@@ -192,6 +192,18 @@ class TestSpectrumCommand:
     def test_kmax_validation(self):
         assert cli.main(["spectrum", "--n", "4", "--c2", "0.5", "--kmax", "9"]) == 2
 
+    def test_dump_memory_at_n_2000(self):
+        # the dump builds only the kmax eigenvector rows it prints, not the
+        # n x n matrix (32 MB, twice over while it was normalised)
+        tracemalloc.start()
+        try:
+            rows = cli.run_spectrum_dump(({}, 2000, 0.5, 15))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2015
+        assert peak < 4e6
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path, capsys):

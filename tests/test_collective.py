@@ -114,6 +114,11 @@ class TestWeightedGram:
         with pytest.raises(ValueError):
             weighted_gram(build_gram(3, 0.5), uniform(4))
 
+    def test_rejects_nan_priors(self):
+        # every comparison with NaN is False, so the check asks for priors >= 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            weighted_gram(build_gram(2, 0.5), np.array([math.nan, 0.5]))
+
 
 class TestBounds:
     def test_two_state_lower_bound(self):
@@ -345,6 +350,8 @@ class TestFixedPointSolver:
             optimal_povm_fixed_point(np.eye(3), np.array([1.0]))
         with pytest.raises(ValueError):
             optimal_povm_fixed_point(np.eye(2), np.array([1.5, -0.5]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            optimal_povm_fixed_point(np.eye(2), np.array([math.nan, 0.5]))
 
 
 class TestCollectiveSummary:

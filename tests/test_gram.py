@@ -17,6 +17,7 @@ from qchangepoint.gram import (
     sqrt_gram,
     sqrt_trace_limit,
 )
+from qchangepoint.online import basic_local_closed_form
 from qchangepoint.special import phase_amplitude
 
 C_GRID = [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -40,6 +41,15 @@ class TestBuildGram:
             build_gram(3, 1.0)
         with pytest.raises(ValueError):
             build_gram(0, 0.5)
+
+    @pytest.mark.parametrize("func", [build_gram, solve_spectrum, basic_local_closed_form])
+    def test_non_integer_n_rejected(self, func):
+        # one rule for n: an integer (bool and numpy integers included) >= 1
+        for n in (2.5, 3.0, np.float64(2.0), "3"):
+            with pytest.raises(TypeError, match="n must be an integer"):
+                func(n, 0.5)
+        for n in (True, np.int64(3), np.uint8(2)):
+            func(n, 0.5)
 
     @pytest.mark.parametrize("c2", [0.0, 0.5, 0.99, 0.9999999999999999])
     @pytest.mark.parametrize("n", [1, 2, 7, 450, 2000])
@@ -102,6 +112,22 @@ class TestSolveSpectrum:
                 1 - 2 * c * math.cos(theta) + c * c + f_n / n
             )
             assert explicit == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("c2", [0.0, 0.05, 0.5, 0.99, 0.999999, 0.9999999999999999])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 451, 2000])
+    def test_closed_form_norms(self, n, c2):
+        # n/2 + sin(2 psi - theta) / (2 sin(theta)) against the summed squares
+        # of the raw sine columns
+        spectrum = solve_spectrum(n, math.sqrt(c2))
+        raw = np.sin(np.outer(np.arange(1, n + 1), spectrum.thetas) + spectrum.phases)
+        np.testing.assert_allclose(spectrum.norms, np.linalg.norm(raw, axis=0), rtol=2e-13, atol=0.0)
+
+    @pytest.mark.parametrize("c2", [0.0, 0.5, 0.9999999999999999])
+    @pytest.mark.parametrize("n", [1, 15, 451])
+    def test_eigenvector_rows_are_eigvecs_rows(self, n, c2):
+        spectrum = solve_spectrum(n, math.sqrt(c2))
+        for count in sorted({1, min(n, 15), n}):
+            assert np.array_equal(spectrum.eigenvector_rows(count), spectrum.eigvecs[:count])
 
     def test_c_zero_identity_spectrum(self):
         spectrum = solve_spectrum(6, 0.0)

@@ -93,6 +93,11 @@ class TestHelstromMeasurement:
         np.testing.assert_allclose(projector, np.outer(phi, phi), atol=1e-12)
         assert success == pytest.approx(0.7, abs=1e-12)
 
+    @pytest.mark.parametrize("p0, pphi", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan_priors(self, p0, pphi):
+        with pytest.raises(ValueError, match="priors must be >= 0"):
+            helstrom_measurement(p0, pphi, 0.5)
+
     def test_zero_pphi_never_clicks(self):
         projector, success = helstrom_measurement(0.4, 0.0, 0.6)
         np.testing.assert_allclose(projector, np.zeros((2, 2)), atol=1e-15)
