@@ -71,12 +71,17 @@ class GramSpectrum:
         return self.eigenvector_rows(self.n)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or a TypeError that names the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_overlap(c: float, n: int = 1) -> int:
     """Check the (n, c) rule shared by every entry point; returns n as an int."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise TypeError(f"n must be an integer, got {n!r}") from None
+    n = _integer("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not c >= 0.0:

@@ -16,7 +16,8 @@ and exact_greedy_enumeration walks both of its outcomes; the engine is
 tested against both.  simulate_basic_local is the first-click policy's
 scalar trial, kept beside it for the same check.  iter_trial_records reads
 each chunk's outcome buffer in place, so the records hold no more memory
-than monte_carlo.  The (n, c) rule is gram's _check_overlap.
+than monte_carlo.  The (n, c) rule is gram's _check_overlap, and trials
+and base_seed pass its _integer check.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .exceptions import ImpossibleOutcomeError
-from .gram import _check_overlap
+from .gram import _check_overlap, _integer
 from .rng import CounterRng, trial_seed_array, uniform_array
 
 __all__ = [
@@ -220,13 +221,19 @@ def _outcome_phi_likelihoods(p0, c: float):
     Returns (a, b) with a = <0|P_phi|0> and b = <phi|P_phi|phi> for the
     measurement that projects onto the strictly positive subspace of
     |phi><phi| - p0 |0><0|, p0 being the engine's normalised tail weight.
-    disc > 0 for every c < 1, so no division guard is needed.  The terms
-    keep the order of the two-weight form pphi |phi><phi| - p0 |0><0| at
-    pphi = 1, so every click and record stays the same to the last bit.
+    disc = sqrt(d^2 + h^2) with d = c^2 - p0 - s2 and h = 2 c sqrt(s2) is
+    written out rather than taken from hypot, which costs ten times more: p0
+    and c lie in [0, 1], so |d| <= 2 and h <= 1 and neither square can
+    overflow, and where h^2 underflows (c < 1e-154) disc is |d|, as hypot
+    gives.  disc > 0 for every c < 1, so no division guard is needed.  disc
+    may sit one ulp from hypot's value; the tests check the seeded streams
+    against recorded ones.
     """
     s2 = 1.0 - c * c
     g00 = c * c - p0
-    disc = np.hypot(g00 - s2, 2.0 * c * math.sqrt(s2))
+    d = g00 - s2
+    h = 2.0 * c * math.sqrt(s2)
+    disc = np.sqrt(d * d + h * h)
     lam_minus = 0.5 * ((1.0 - p0) - disc)
     return (g00 - lam_minus) / disc, ((1.0 - p0 * c * c) - lam_minus) / disc
 
@@ -243,9 +250,14 @@ def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods):
     best_idx = np.zeros(m, dtype=np.int64)
     outcomes = np.empty((m, n), dtype=np.uint8)
     for s in range(1, n + 1):
-        best_idx[best < tail] = s  # strict: ties keep the smaller index, like argmax
+        # strict: ties keep the smaller index, like argmax.  best_idx <= s - 1
+        # here and never decreases, so the maximum writes s exactly where
+        # best < tail and leaves every other entry as it was
+        np.maximum(best_idx, (best < tail) * s, out=best_idx)
         a, b = likelihoods(tail if s < n else 0.0, c)
-        clicked = uniform_array(seeds, s) < np.where(true_k <= s, b, a)
+        u = uniform_array(seeds, s)
+        mutated = true_k <= s
+        clicked = (mutated & (u < b)) | (~mutated & (u < a))
         best = np.where(clicked, b, 1.0 - b)
         tail *= np.where(clicked, a, 1.0 - a)
         scale = np.maximum(best, tail) if s < n else best
@@ -261,8 +273,12 @@ def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods):
 def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int):
     if strategy not in ("basic", "greedy"):
         raise ValueError(f"strategy must be one of ['basic', 'greedy'], got {strategy!r}")
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    base_seed = _integer("base_seed", base_seed)
+    if not 0 <= base_seed < 1 << 64:
+        raise ValueError(f"base_seed must lie in [0, 2^64), got {base_seed}")
     _check_overlap(c, n)
     # looked up per call, not bound at import, so a patched kernel takes effect
     likelihoods = _outcome_phi_likelihoods if strategy == "greedy" else _basic_likelihoods
@@ -284,8 +300,9 @@ def monte_carlo(
 
     The change point of each trial is drawn uniformly; every random variate
     is a pure function of (base_seed, trial index, step index), so the
-    estimate does not depend on chunking or execution order.  Returns the
-    success fraction and its binomial standard error.
+    estimate does not depend on chunking or execution order.  trials and
+    base_seed are integers, base_seed in [0, 2^64) as the CLI's --seed.
+    Returns the success fraction and its binomial standard error.
     """
     successes = 0
     for _, true_k, guess, _ in _chunked_trials(strategy, n, c, trials, base_seed):
@@ -304,9 +321,13 @@ def iter_trial_records(
     """Per-trial records from the same engine and stream as monte_carlo."""
     for seeds, true_k, guess, outcomes in _chunked_trials(strategy, n, c, trials, base_seed):
         # the chunk's buffer is fresh and read by nothing else, so it turns
-        # into ASCII '0'/'1' in place: one n-byte string per trial
+        # into ASCII '0'/'1' in place: one n-byte string per trial, decoded
+        # only as its record is taken
         outcomes += ord("0")
-        for k, g, bits, seed in zip(
-            true_k.tolist(), guess.tolist(), outcomes.view(f"S{n}").ravel(), seeds.tolist()
-        ):
-            yield TrialRecord(k, g, bits.decode(), g == k, seed)
+        yield from map(TrialRecord._make, zip(
+            true_k.tolist(),
+            guess.tolist(),
+            map(bytes.decode, outcomes.view(f"S{n}").ravel()),
+            (guess == true_k).tolist(),
+            seeds.tolist(),
+        ))

@@ -137,6 +137,21 @@ class TestBenchmarkReference:
                 else:
                     assert got == pytest.approx(want, abs=1e-9), where
 
+    def test_figure_grid_monte_carlo_columns_match(self, tmp_path):
+        # the benchmark's figure grid with its 1e4 greedy trials at seed 1:
+        # the Monte Carlo cells as printed, so one flipped click at n = 50
+        # shows here and not only in the benchmark
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--n", "50", "--c2", FIGURE_C2, "--trials", "10000",
+                         "--seed", "1", "--threads", "1", "--out", str(out)]) == 0
+        columns = ("n", "c2", "basic_local", "greedy_estimate", "greedy_stderr")
+        with open(out, newline="") as handle:
+            rows = [tuple(r[k] for k in columns) for r in csv.DictReader(handle)]
+        with open(REFERENCE_DIR / "fig_sweep_seed1.csv", newline="") as handle:
+            expected = [tuple(r[k] for k in columns) for r in csv.DictReader(handle)]
+        assert len(rows) == 20
+        assert rows == expected
+
     def test_montecarlo_records_match(self, tmp_path):
         # the benchmark's two montecarlo --records runs at its reference seed,
         # byte for byte against the recorded sha256 of every output

@@ -135,6 +135,26 @@ class TestStepKernels:
         assert a == pytest.approx(default @ projector @ default, abs=1e-12)
         assert b == pytest.approx(mutated @ projector @ mutated, abs=1e-12)
 
+    # c = 1e-200 squares to zero inside the kernel's disc; the last overlap
+    # is one ulp below 1, where disc is about 3e-8
+    @pytest.mark.parametrize("c", [0.0, 1e-200, 0.3, 0.6, 0.9, 0.999, math.nextafter(1.0, 0.0)])
+    def test_greedy_kernel_on_tail_weight_arrays(self, c):
+        # the engine passes the whole chunk's tail weights as one array
+        p0 = np.concatenate([[0.0, 1e-300, 1e-12], np.linspace(0.0, 1.0, 41)[1:]])
+        a, b = online_module._outcome_phi_likelihoods(p0, c)
+        # rounding may put a probability one ulp outside [0, 1] (a at c = 0,
+        # b at c = 0.9, p0 = 0); against a uniform in [0, 1) that clicks as
+        # 0 or 1 does
+        for likelihood in (a, b):
+            assert likelihood.shape == p0.shape
+            assert np.all(np.isfinite(likelihood))
+            assert np.all((likelihood >= -1e-15) & (likelihood <= 1.0 + 1e-15))
+        default, mutated = qubit_pair(c)
+        for weight, a_k, b_k in zip(p0, a, b):
+            projector, _ = helstrom_measurement(weight, 1.0, c)
+            assert a_k == pytest.approx(default @ projector @ default, abs=1e-12)
+            assert b_k == pytest.approx(mutated @ projector @ mutated, abs=1e-12)
+
     @pytest.mark.parametrize("c", [0.0, 0.3, 0.6, 0.9, 0.999])
     def test_basic_kernel_is_the_computational_basis(self, c):
         default, mutated = qubit_pair(c)
@@ -350,6 +370,28 @@ class TestMonteCarloHarness:
             tracemalloc.stop()
         assert 0 < successes < 2000
         assert peak < 10e6
+
+    @pytest.mark.parametrize("strategy", ["basic", "greedy"])
+    def test_trials_and_seed_must_be_integers(self, strategy):
+        with pytest.raises(TypeError, match="trials must be an integer, got 1000.0"):
+            monte_carlo(strategy, 5, 0.5, 1e3, 1)
+        with pytest.raises(TypeError, match="base_seed must be an integer, got 1.5"):
+            monte_carlo(strategy, 5, 0.5, 10, 1.5)
+        with pytest.raises(TypeError, match="base_seed must be an integer"):
+            list(iter_trial_records(strategy, 5, 0.5, 10, "7"))
+
+    @pytest.mark.parametrize("base_seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_rejected(self, base_seed):
+        # the CLI's seed rule: 2^70 must not quietly run the stream of 2^70 mod 2^64
+        with pytest.raises(ValueError, match=r"base_seed must lie in \[0, 2\^64\)"):
+            monte_carlo("greedy", 5, 0.5, 10, base_seed)
+        with pytest.raises(ValueError, match=r"base_seed must lie in \[0, 2\^64\)"):
+            list(iter_trial_records("basic", 5, 0.5, 10, base_seed))
+
+    def test_integer_like_arguments_accepted(self):
+        # numpy integers index like ints, and the largest seed is valid
+        assert (monte_carlo("greedy", 5, 0.5, np.int64(300), np.uint64(2**64 - 1))
+                == monte_carlo("greedy", 5, 0.5, 300, 2**64 - 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
