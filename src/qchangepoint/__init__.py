@@ -7,85 +7,21 @@ identified: exact bounds and the square-root-measurement value for
 collective measurements on the whole sequence, the closed-form large-n
 asymptote, and Monte Carlo estimates for online strategies that measure
 particle by particle.
+
+Each module's ``__all__`` is its public API and the only list of its public
+names; the package root re-exports all of them, so ``__all__`` here is
+their sorted union.
 """
 
-from .collective import (
-    CollectiveSummary,
-    PovmSolverResult,
-    WeightedGram,
-    asymptotic_pmax,
-    collective_summary,
-    embed_states,
-    optimal_povm_fixed_point,
-    srm_success,
-    success_lower_bound,
-    success_upper_bound,
-    weighted_gram,
-)
-from .exceptions import (
-    DegenerateEnsembleError,
-    ImpossibleOutcomeError,
-    SpectralFailureError,
-)
-from .gram import (
-    GramSpectrum,
-    build_gram,
-    diag_deviation_asymptotic,
-    jacobi_eigensolve,
-    solve_spectrum,
-    sqrt_gram,
-    sqrt_trace_limit,
-)
-from .online import (
-    TrialRecord,
-    basic_local_closed_form,
-    exact_greedy_enumeration,
-    helstrom_measurement,
-    iter_trial_records,
-    monte_carlo,
-    qubit_pair,
-    simulate_basic_local,
-    simulate_greedy_trial,
-)
-from .rng import CounterRng, mix64, trial_seed
-from .special import elliptic_k, phase_amplitude
+from . import collective, exceptions, gram, online, rng, special
+from .collective import *
+from .exceptions import *
+from .gram import *
+from .online import *
+from .rng import *
+from .special import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CollectiveSummary",
-    "CounterRng",
-    "DegenerateEnsembleError",
-    "GramSpectrum",
-    "ImpossibleOutcomeError",
-    "PovmSolverResult",
-    "SpectralFailureError",
-    "TrialRecord",
-    "WeightedGram",
-    "asymptotic_pmax",
-    "basic_local_closed_form",
-    "build_gram",
-    "collective_summary",
-    "diag_deviation_asymptotic",
-    "elliptic_k",
-    "embed_states",
-    "exact_greedy_enumeration",
-    "helstrom_measurement",
-    "iter_trial_records",
-    "jacobi_eigensolve",
-    "mix64",
-    "monte_carlo",
-    "optimal_povm_fixed_point",
-    "phase_amplitude",
-    "qubit_pair",
-    "simulate_basic_local",
-    "simulate_greedy_trial",
-    "solve_spectrum",
-    "sqrt_gram",
-    "sqrt_trace_limit",
-    "srm_success",
-    "success_lower_bound",
-    "success_upper_bound",
-    "trial_seed",
-    "weighted_gram",
-]
+__all__ = sorted(set().union(*(module.__all__ for module in (
+    collective, exceptions, gram, online, rng, special))))

@@ -34,7 +34,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -99,12 +98,8 @@ def _int_at_least(raw: dict[str, str], key: str, default: str, low: int) -> int:
     return value
 
 
-def _parse_int_list(key: str, raw: str) -> list[int]:
-    return [_parse_int(key, part) for part in raw.split(",") if part.strip()]
-
-
-def _parse_float_list(key: str, raw: str) -> list[float]:
-    return [_parse_float(key, part) for part in raw.split(",") if part.strip()]
+def _parse_list(key: str, raw: str, parse: Callable[[str, str], object]) -> list:
+    return [parse(key, part) for part in raw.split(",") if part.strip()]
 
 
 def _read_config_file(path: str, allowed: Collection[str]) -> dict[str, str]:
@@ -155,7 +150,7 @@ def _c2_grid(raw: dict[str, str]) -> list[float]:
         count = _int_at_least(raw, "c2_count", "", 1)
         grid = [float(v) for v in np.linspace(start, stop, count)]
     elif has_list:
-        grid = _parse_float_list("c2", raw["c2"])
+        grid = _parse_list("c2", raw["c2"], _parse_float)
     else:
         grid = []
     if not grid:
@@ -167,7 +162,7 @@ def _c2_grid(raw: dict[str, str]) -> list[float]:
 
 
 def _grid_points(raw: dict[str, str]) -> list[tuple[int, float]]:
-    n_values = _parse_int_list("n", raw.get("n", ""))
+    n_values = _parse_list("n", raw.get("n", ""), _parse_int)
     if not n_values:
         raise ConfigError("empty n grid")
     for value in n_values:
@@ -249,10 +244,9 @@ def _staged_outputs(*paths: Optional[str]) -> Iterator[list]:
     files are renamed only after all of them are complete; on any exception
     every temp file is removed, and so is any file the run has already
     renamed, so a failed run leaves none of its files.  An OSError is
-    re-raised as _OutputError naming the output.
+    re-raised as _OutputError naming the output.  Each temp file is created
+    by open(), so the kernel gives it the mode the process umask allows.
     """
-    umask = os.umask(0)
-    os.umask(umask)
     staged: list[tuple[Path, str, TextIO]] = []
     renamed: list[Path] = []
     handles: list[Optional[TextIO]] = []
@@ -265,12 +259,11 @@ def _staged_outputs(*paths: Optional[str]) -> Iterator[list]:
                 if target.is_dir():
                     # the final rename would fail, after all the computing
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-                fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".",
-                                                suffix=".tmp")
-                handle = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+                while handle is None:  # a random name; a clash draws again
+                    tmp_name = f"{target}.{os.urandom(8).hex()}.tmp"
+                    with contextlib.suppress(FileExistsError):
+                        handle = open(tmp_name, "x", encoding="utf-8", newline="\n")
                 staged.append((target, tmp_name, handle))
-                # mkstemp creates 0600; give the output the mode open() would
-                os.fchmod(fd, 0o666 & ~umask)
             handles.append(handle)
         # the body writes only to the staged files, and a failed write does
         # not say which one

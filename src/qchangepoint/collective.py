@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateEnsembleError
-from .gram import _symmetric_root, build_gram, solve_spectrum, sqrt_trace_limit
+from .gram import _integer, _symmetric_root, build_gram, solve_spectrum, sqrt_trace_limit
 
 __all__ = [
     "WeightedGram",
@@ -222,6 +222,9 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    max_iter = _integer("max_iter", max_iter)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     blocks, classes = _reversal_blocks(gram, priors)
     counts = np.bincount(classes).astype(float)
     size = counts.size
@@ -293,7 +296,8 @@ def optimal_povm_fixed_point(
     |psi_j><psi_j|, the classical steering map whose fixed points satisfy the
     optimality conditions.  The loop stops once the per-iteration gain drops
     below tol; a step that lowers the success probability by more than 1e-12
-    ends it with converged=False and the best iterate returned.  The iteration
+    ends it with converged=False and the best iterate returned.  tol must be
+    > 0 and max_iter an integer >= 1.  The iteration
     is not monotone: with priors (0.3, 0, 0.4, 0.3) at n=4, c=0.6 the first
     step lowers the value, so the result is the square-root-measurement value
     0.907941693817 after 1 iteration.

@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DegenerateEnsembleError",
+    "SpectralFailureError",
+    "ImpossibleOutcomeError",
+]
+
 
 class DegenerateEnsembleError(ValueError):
     """The source states are not linearly independent (overlap c >= 1 or a

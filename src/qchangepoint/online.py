@@ -227,7 +227,9 @@ def _outcome_phi_likelihoods(p0, c: float):
     overflow, and where h^2 underflows (c < 1e-154) disc is |d|, as hypot
     gives.  disc > 0 for every c < 1, so no division guard is needed.  disc
     may sit one ulp from hypot's value; the tests check the seeded streams
-    against recorded ones.
+    against recorded ones.  Rounding can put a one ulp below 0 (at c = 0) or
+    b one ulp above 1 (c near 1, or p0 near 0), so both are clamped into
+    [0, 1]; p0 may be an array or, at the last step, a float.
     """
     s2 = 1.0 - c * c
     g00 = c * c - p0
@@ -235,7 +237,9 @@ def _outcome_phi_likelihoods(p0, c: float):
     h = 2.0 * c * math.sqrt(s2)
     disc = np.sqrt(d * d + h * h)
     lam_minus = 0.5 * ((1.0 - p0) - disc)
-    return (g00 - lam_minus) / disc, ((1.0 - p0 * c * c) - lam_minus) / disc
+    a = np.maximum((g00 - lam_minus) / disc, 0.0)
+    b = np.minimum(((1.0 - p0 * c * c) - lam_minus) / disc, 1.0)
+    return a, b
 
 
 def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods):

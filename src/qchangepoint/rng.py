@@ -10,6 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = [
+    "CounterRng",
+    "mix64",
+    "trial_seed",
+]
+
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9

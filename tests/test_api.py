@@ -42,6 +42,23 @@ def test_public_names_resolve():
     assert [name for name in qchangepoint.__all__ if not hasattr(qchangepoint, name)] == []
 
 
+def test_root_reexports_each_module_api():
+    # a module's __all__ is the one list of its public names; the root
+    # re-exports every library module (all but the CLI) and adds no name
+    homes = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    homes.remove("__init__")
+    homes.remove("cli")
+    modules = [importlib.import_module("qchangepoint." + home) for home in homes]
+    assert [module.__name__ for module in modules if "__all__" not in vars(module)] == []
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names)), "a public name is declared twice"
+    assert qchangepoint.__all__ == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qchangepoint, name) is getattr(module, name), name
+            assert getattr(module, name).__module__ == module.__name__, name
+
+
 @pytest.mark.parametrize("call", [
     lambda c: qchangepoint.build_gram(3, c),
     lambda c: qchangepoint.solve_spectrum(3, c),

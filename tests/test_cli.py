@@ -105,6 +105,27 @@ class TestGoldenOutputs:
         assert rc == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
+    def test_outputs_never_touch_the_umask(self, tmp_path, monkeypatch):
+        # setting the umask, even to read it, changes it for every thread of
+        # the process; the kernel applies it to open() without being asked
+        out, records = tmp_path / "mc.csv", tmp_path / "records.jsonl"
+
+        def umask(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        previous = os.umask(0o022)
+        try:
+            monkeypatch.setattr(os, "umask", umask)
+            rc = cli.main(["montecarlo", "--strategy", "greedy", "--n", "3", "--c2", "0.5",
+                           "--trials", "10", "--out", str(out), "--records", str(records)])
+        finally:
+            monkeypatch.undo()
+            os.umask(previous)
+        assert rc == 0
+        assert sorted(tmp_path.iterdir()) == [out, records]
+        for path in (out, records):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
     def test_stdout_when_no_out(self, capsys):
         assert cli.main(["sweep", "--n", "2", "--c2", "0.36"]) == 0
         assert capsys.readouterr().out == SWEEP_GOLDEN

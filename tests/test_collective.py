@@ -343,6 +343,21 @@ class TestFixedPointSolver:
         with pytest.raises(ValueError):
             optimal_povm_fixed_point(np.eye(2), uniform(2), tol=math.nan)
 
+    @pytest.mark.parametrize("solve", [
+        lambda **kw: optimal_povm_fixed_point(np.eye(2), uniform(2), **kw).success_probability,
+        lambda **kw: collective_summary(10, math.sqrt(0.95), **kw).fixed_point_opt,
+    ], ids=["optimal_povm_fixed_point", "collective_summary"])
+    def test_max_iter_validation(self, solve):
+        # max_iter=0 used to return the square-root-measurement seed as the
+        # optimum, and 2.5 died inside range()
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="max_iter"):
+                solve(max_iter=bad)
+        for bad in (2.5, "7", None):
+            with pytest.raises(TypeError, match="max_iter"):
+                solve(max_iter=bad)
+        assert solve(max_iter=1) > 0.0
+
     def test_rejects_bad_priors(self):
         # the priors check of weighted_gram, shape included: one prior for
         # three states used to broadcast silently
