@@ -13,9 +13,8 @@ names; the package root re-exports all of them, so ``__all__`` here is
 their sorted union.
 """
 
-from . import collective, exceptions, gram, online, rng, special
+from . import collective, gram, online, rng, special
 from .collective import *
-from .exceptions import *
 from .gram import *
 from .online import *
 from .rng import *
@@ -24,4 +23,4 @@ from .special import *
 __version__ = "0.1.0"
 
 __all__ = sorted(set().union(*(module.__all__ for module in (
-    collective, exceptions, gram, online, rng, special))))
+    collective, gram, online, rng, special))))

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateEnsembleError
-from .gram import _integer, _symmetric_root, build_gram, solve_spectrum, sqrt_trace_limit
+from .gram import (DegenerateEnsembleError, _integer, _symmetric_matrix, _symmetric_root,
+                   build_gram, solve_spectrum, sqrt_trace_limit)
 
 __all__ = [
     "WeightedGram",
@@ -116,9 +116,10 @@ def weighted_gram(gram: np.ndarray, priors: np.ndarray) -> WeightedGram:
 
     The square root comes from LAPACK's symmetric eigensolver (numpy eigh);
     eigenvalues below 1e-12 of the largest flag rank deficiency, and negative
-    ones are clamped to zero.
+    ones are clamped to zero.  A gram that is not square, finite and
+    symmetric raises ValueError.
     """
-    gram = np.asarray(gram, dtype=float)
+    gram = _symmetric_matrix(gram)
     root_p = np.sqrt(_checked_priors(priors, gram.shape[0]))
     w = root_p[:, np.newaxis] * gram * root_p[np.newaxis, :]
     return _weighted(w, *np.linalg.eigh(w))
@@ -158,9 +159,9 @@ def embed_states(gram: np.ndarray) -> np.ndarray:
     """Coordinates of the source states in an orthonormal basis of their span.
 
     Returns sqrt(G); column k is the k-th state, so pairwise inner products
-    reproduce the Gram matrix exactly.
+    reproduce the Gram matrix exactly.  G is checked as in weighted_gram.
     """
-    gram = np.asarray(gram, dtype=float)
+    gram = _symmetric_matrix(gram)
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     embedded = _weighted(gram, eigenvalues, eigenvectors)
     if embedded.rank_deficient:
@@ -296,8 +297,8 @@ def optimal_povm_fixed_point(
     |psi_j><psi_j|, the classical steering map whose fixed points satisfy the
     optimality conditions.  The loop stops once the per-iteration gain drops
     below tol; a step that lowers the success probability by more than 1e-12
-    ends it with converged=False and the best iterate returned.  tol must be
-    > 0 and max_iter an integer >= 1.  The iteration
+    ends it with converged=False and the best iterate returned.  The states
+    must be finite, tol > 0 and max_iter an integer >= 1.  The iteration
     is not monotone: with priors (0.3, 0, 0.4, 0.3) at n=4, c=0.6 the first
     step lowers the value, so the result is the square-root-measurement value
     0.907941693817 after 1 iteration.
@@ -311,6 +312,8 @@ def optimal_povm_fixed_point(
     formed once at the end.
     """
     states = np.asarray(states, dtype=float)
+    if not np.isfinite(states).all():
+        raise ValueError("states must be finite")
     n = states.shape[1]
     priors = _checked_priors(priors, n)
     success, iterations, converged, (root_w, vecs, root_vals) = _fixed_point(

@@ -12,7 +12,8 @@ off one square root, ``_symmetric_root`` (V diag(sqrt(lambda)) V^T and
 nothing else), fed by this spectrum or by LAPACK.  A round-robin Jacobi
 eigensolver is the test oracle only; it stays here because the benchmark
 in ``perfbench/`` times it.  The other oracles (the boundary polynomial,
-the I_r quadrature) live in the tests.
+the I_r quadrature) live in the tests.  The package's argument checks live
+here: ``_integer``, ``_check_overlap`` (n, c) and ``_symmetric_matrix``.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import DegenerateEnsembleError, SpectralFailureError
 from .special import elliptic_k
 
 __all__ = [
+    "DegenerateEnsembleError",
     "GramSpectrum",
     "build_gram",
     "solve_spectrum",
@@ -40,6 +41,10 @@ __all__ = [
 
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 60
+
+
+class DegenerateEnsembleError(ValueError):
+    """The source states are linearly dependent: c >= 1, or a singular Gram matrix."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,10 @@ class GramSpectrum:
     norms: np.ndarray
 
     def eigenvector_rows(self, count: int) -> np.ndarray:
-        """Rows 1..count of the eigenvector matrix, shape (count, n)."""
+        """Rows 1..count of the eigenvector matrix, shape (count, n); 0 <= count <= n."""
+        count = _integer("count", count)
+        if not 0 <= count <= self.n:
+            raise ValueError(f"count must lie in [0, n={self.n}], got {count}")
         j = np.arange(1, count + 1)
         return np.sin(np.outer(j, self.thetas) + self.phases) / self.norms
 
@@ -91,6 +99,19 @@ def _check_overlap(c: float, n: int = 1) -> int:
             f"overlap c must be < 1 for linearly independent states, got {c}"
         )
     return n
+
+
+def _symmetric_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a float array, checked square, finite and symmetric to
+    1e-12 max(max|a|, 1); eigh would read only its lower triangle."""
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if np.abs(a - a.T).max(initial=0.0) > 1e-12 * max(np.abs(a).max(initial=0.0), 1.0):
+        raise ValueError("matrix is not symmetric")
+    return a
 
 
 def build_gram(n: int, c: float) -> np.ndarray:
@@ -175,19 +196,14 @@ def jacobi_eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rotations until the off-diagonal Frobenius norm falls below 1e-12.  A
     sweep runs in round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput.
     6, 1985): each round pairs the indices disjointly, so its n/2 rotations
-    commute and are applied at once.
+    commute and are applied at once.  RuntimeError if 60 sweeps fall short.
     Returns eigenvalues ascending and the matching eigenvectors as columns.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.abs(a).max() if a.size else 0.0
-    if not np.allclose(a, a.T, atol=1e-12 * max(scale, 1.0), rtol=0.0):
-        raise ValueError("matrix is not symmetric")
+    a = _symmetric_matrix(matrix)
     n = a.shape[0]
+    skip_tol = 1e-16 * max(np.abs(a).max(initial=0.0), 1.0)
     a = 0.5 * (a + a.T)
     vecs = np.eye(n)
-    skip_tol = 1e-16 * max(scale, 1.0)
     # tournament pairings: index 0 stays, the rest rotate one place per round;
     # with n odd, the extra index n sits out its round
     m = n + n % 2
@@ -215,7 +231,7 @@ def jacobi_eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 x[:, p], x[:, q] = cos_r * x_p - sin_r * x_q, sin_r * x_p + cos_r * x_q
             a[p, q] = a[q, p] = 0.0
     else:
-        raise SpectralFailureError(
+        raise RuntimeError(
             f"Jacobi sweeps did not reach off-diagonal norm {_JACOBI_OFF_TOL} "
             f"within {_JACOBI_MAX_SWEEPS} sweeps"
         )
@@ -235,6 +251,7 @@ def diag_deviation_asymptotic(k: int, c: float) -> float:
 
     Equals c^{2k} / (4 (1-c^2) sqrt(2 pi k^3)); decays exponentially in k.
     """
+    k = _integer("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_overlap(c)

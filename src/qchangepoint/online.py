@@ -16,8 +16,9 @@ and exact_greedy_enumeration walks both of its outcomes; the engine is
 tested against both.  simulate_basic_local is the first-click policy's
 scalar trial, kept beside it for the same check.  iter_trial_records reads
 each chunk's outcome buffer in place, so the records hold no more memory
-than monte_carlo.  The (n, c) rule is gram's _check_overlap, and trials
-and base_seed pass its _integer check.
+than monte_carlo.  The (n, c) rule is gram's _check_overlap, and trials,
+base_seed and a replay's true_k pass its _integer check.  A posterior
+left with no mass after a sampled outcome raises ImpossibleOutcomeError.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .exceptions import ImpossibleOutcomeError
 from .gram import _check_overlap, _integer
 from .rng import CounterRng, trial_seed_array, uniform_array
 
 __all__ = [
+    "ImpossibleOutcomeError",
     "TrialRecord",
     "qubit_pair",
     "basic_local_closed_form",
@@ -45,6 +46,10 @@ __all__ = [
 
 _ENUMERATION_MAX_N = 12
 _CHUNK_SIZE = 32768
+
+
+class ImpossibleOutcomeError(ValueError):
+    """The engine's posterior has zero or NaN mass after a sampled outcome."""
 
 
 def qubit_pair(c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -80,23 +85,16 @@ def simulate_basic_local(n: int, c: float, true_k: int, rng: CounterRng) -> Tria
     read 1 with probability 1-c^2.  The guess is the first position that
     reads 1, or n when nothing fires.
     """
+    n = _check_overlap(c, n)
+    true_k = _integer("true_k", true_k)
     if not 1 <= true_k <= n:
         raise ValueError(f"true_k must lie in [1, {n}], got {true_k}")
-    _check_overlap(c)
     fire_prob = 1.0 - c * c
-    bits = []
-    for j in range(1, n + 1):
-        bit = j >= true_k and rng.uniform(j) < fire_prob
-        bits.append("1" if bit else "0")
-    first = next((j for j, b in enumerate(bits, start=1) if b == "1"), None)
-    guess = first if first is not None else n
-    return TrialRecord(
-        true_k=true_k,
-        guess=guess,
-        outcomes="".join(bits),
-        success=guess == true_k,
-        seed=rng.seed,
-    )
+    bits = "".join("1" if j >= true_k and rng.uniform(j) < fire_prob else "0"
+                   for j in range(1, n + 1))
+    guess = bits.find("1") + 1 or n
+    return TrialRecord(true_k=true_k, guess=guess, outcomes=bits,
+                       success=guess == true_k, seed=rng.seed)
 
 
 def helstrom_measurement(p0: float, pphi: float, c: float) -> tuple[np.ndarray, float]:
@@ -107,8 +105,8 @@ def helstrom_measurement(p0: float, pphi: float, c: float) -> tuple[np.ndarray, 
     eigenvalue goes to the 0-outcome, I - P) with the per-step success
     probability (pphi + p0 + tr|Gamma|) / 2.
     """
-    if not p0 >= 0.0 or not pphi >= 0.0:
-        raise ValueError(f"priors must be >= 0, got p0={p0}, pphi={pphi}")
+    if not (0.0 <= p0 < math.inf and 0.0 <= pphi < math.inf):
+        raise ValueError(f"priors must be >= 0 and finite, got p0={p0}, pphi={pphi}")
     if p0 == 0.0 and pphi == 0.0:
         raise ValueError("priors p0 and pphi must not both be zero")
     _check_overlap(c)
@@ -155,9 +153,10 @@ def simulate_greedy_trial(n: int, c: float, true_k: int, rng: CounterRng) -> Tri
     posterior updated by Bayes' rule; the final guess maximizes the
     posterior (smallest index on ties).
     """
+    n = _check_overlap(c, n)
+    true_k = _integer("true_k", true_k)
     if not 1 <= true_k <= n:
         raise ValueError(f"true_k must lie in [1, {n}], got {true_k}")
-    _check_overlap(c)
     eta = np.full(n, 1.0 / n)
     bits = []
     for s in range(1, n + 1):
@@ -167,13 +166,8 @@ def simulate_greedy_trial(n: int, c: float, true_k: int, rng: CounterRng) -> Tri
         eta = eta * (click if clicked else 1.0 - click)
         eta /= eta.sum()
     guess = int(np.argmax(eta)) + 1
-    return TrialRecord(
-        true_k=true_k,
-        guess=guess,
-        outcomes="".join(bits),
-        success=guess == true_k,
-        seed=rng.seed,
-    )
+    return TrialRecord(true_k=true_k, guess=guess, outcomes="".join(bits),
+                       success=guess == true_k, seed=rng.seed)
 
 
 def exact_greedy_enumeration(n: int, c: float) -> float:

@@ -46,11 +46,15 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _counter_array(base, index: np.ndarray) -> np.ndarray:
+    """Array form of :func:`trial_seed`: mix64(base + (index + 1) gamma), broadcast."""
+    with np.errstate(over="ignore"):  # modular 64-bit arithmetic is the point
+        return _mix64_array(base + (index + np.uint64(1)) * _U_GAMMA)
+
+
 def trial_seed_array(base_seed: int, trial_indices: np.ndarray) -> np.ndarray:
     """Vectorized :func:`trial_seed` over an array of trial indices."""
-    idx = trial_indices.astype(np.uint64, copy=False)
-    with np.errstate(over="ignore"):  # modular 64-bit arithmetic is the point
-        return _mix64_array(np.uint64(base_seed & _MASK) + (idx + np.uint64(1)) * _U_GAMMA)
+    return _counter_array(np.uint64(base_seed & _MASK), trial_indices.astype(np.uint64, copy=False))
 
 
 def uniform_array(seeds: np.ndarray, step: int | np.ndarray) -> np.ndarray:
@@ -59,10 +63,8 @@ def uniform_array(seeds: np.ndarray, step: int | np.ndarray) -> np.ndarray:
     ``seeds`` and ``step`` broadcast against each other, so a matrix of
     variates for many trials and many steps is one call.
     """
-    step_arr = np.asarray(step, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # modular 64-bit arithmetic is the point
-        z = seeds + (step_arr + np.uint64(1)) * _U_GAMMA
-        return (_mix64_array(z) >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    z = _counter_array(seeds, np.asarray(step, dtype=np.uint64))
+    return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
 
 class CounterRng:
@@ -75,8 +77,7 @@ class CounterRng:
 
     def uniform(self, step: int) -> float:
         """Uniform double in [0, 1) for the given step counter."""
-        z = mix64((self.seed + (step + 1) * _GAMMA) & _MASK)
-        return (z >> 11) * _TO_UNIT
+        return (trial_seed(self.seed, step) >> 11) * _TO_UNIT
 
     def __repr__(self) -> str:
         return f"CounterRng(seed={self.seed:#018x})"

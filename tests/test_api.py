@@ -1,4 +1,4 @@
-"""The public API, its overlap rule, its dependency line and the traced functions.
+"""The public API, its argument rules, its dependency line and the traced functions.
 
 ``perfbench/run.py --trace 1`` wraps the functions named in
 ``perfbench/tracing.py``; removing or renaming one breaks the traced run,
@@ -57,6 +57,46 @@ def test_root_reexports_each_module_api():
         for name in module.__all__:
             assert getattr(qchangepoint, name) is getattr(module, name), name
             assert getattr(module, name).__module__ == module.__name__, name
+
+
+def test_each_error_lives_where_it_is_raised():
+    # no shared exceptions module: each public error class is declared in a
+    # module that raises it
+    assert not (PACKAGE / "exceptions.py").exists()
+    assert importlib.util.find_spec("qchangepoint.exceptions") is None
+    errors = [value for value in map(vars(qchangepoint).get, qchangepoint.__all__)
+              if isinstance(value, type) and issubclass(value, Exception)]
+    assert errors
+    for error in errors:
+        source = Path(sys.modules[error.__module__].__file__).read_text(encoding="utf-8")
+        raised = {node.exc.func.id for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                  and isinstance(node.exc.func, ast.Name)}
+        assert error.__name__ in raised, error
+
+
+ROWS = qchangepoint.solve_spectrum(3, 0.5).eigenvector_rows
+RNG = qchangepoint.CounterRng(1)
+
+
+@pytest.mark.parametrize("call, args, error, message", [
+    (qchangepoint.diag_deviation_asymptotic, (math.nan, 0.5), TypeError, "k must be an integer"),
+    (qchangepoint.diag_deviation_asymptotic, (2.5, 0.5), TypeError, "k must be an integer"),
+    (qchangepoint.diag_deviation_asymptotic, (0, 0.5), ValueError, "k must be >= 1"),
+    (qchangepoint.simulate_basic_local, (3, 0.5, 2.5, RNG), TypeError, "true_k must be an integer"),
+    (qchangepoint.simulate_basic_local, (2.5, 0.5, 2, RNG), TypeError, "n must be an integer"),
+    (qchangepoint.simulate_basic_local, (3, 0.5, 4, RNG), ValueError, "true_k must lie in"),
+    (qchangepoint.simulate_greedy_trial, (3, 0.5, 2.5, RNG), TypeError, "true_k must be an"),
+    (qchangepoint.simulate_greedy_trial, (2.5, 0.5, 2, RNG), TypeError, "n must be an integer"),
+    (ROWS, (4,), ValueError, "count must lie in"),
+    (ROWS, (-1,), ValueError, "count must lie in"),
+    (ROWS, (2.0,), TypeError, "count must be an integer"),
+], ids=["k-nan", "k-float", "k-zero", "basic-true_k-float", "basic-n-float", "basic-true_k-range",
+        "greedy-true_k-float", "greedy-n-float", "rows-above-n", "rows-negative", "rows-float"])
+def test_integer_arguments_checked(call, args, error, message):
+    # k, n, true_k and count pass gram._integer, then their range checks
+    with pytest.raises(error, match=message):
+        call(*args)
 
 
 @pytest.mark.parametrize("call", [

@@ -18,8 +18,13 @@ from qchangepoint.collective import (
     success_upper_bound,
     weighted_gram,
 )
-from qchangepoint.exceptions import DegenerateEnsembleError
-from qchangepoint.gram import build_gram, jacobi_eigensolve, solve_spectrum, sqrt_gram
+from qchangepoint.gram import (
+    DegenerateEnsembleError,
+    build_gram,
+    jacobi_eigensolve,
+    solve_spectrum,
+    sqrt_gram,
+)
 
 
 def uniform(n):
@@ -205,6 +210,22 @@ class TestEmbedStates:
             embed_states(np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: weighted_gram(g, uniform(2)),
+    embed_states,
+], ids=["weighted_gram", "embed_states"])
+@pytest.mark.parametrize("matrix, message", [
+    # eigh reads the lower triangle only: S^T S came out [[1, .2], [.2, 1]]
+    ([[1.0, 0.5], [0.2, 1.0]], "not symmetric"),
+    # a NaN entry gave an all-NaN root and lambda_max = nan
+    ([[1.0, math.nan], [math.nan, 1.0]], "finite"),
+    ([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]], "square"),
+], ids=["asymmetric", "nan", "non-square"])
+def test_rejects_bad_gram(call, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        call(np.array(matrix))
+
+
 class TestFixedPointSolver:
     @pytest.mark.parametrize("c", [0.1, 0.4, 0.6, 0.9])
     def test_two_state_helstrom(self, c):
@@ -367,6 +388,16 @@ class TestFixedPointSolver:
             optimal_povm_fixed_point(np.eye(2), np.array([1.5, -0.5]))
         with pytest.raises(ValueError, match="nonnegative"):
             optimal_povm_fixed_point(np.eye(2), np.array([math.nan, 0.5]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_states(self, bad):
+        # these used to report success 0.0, converged, with NaN vectors
+        with pytest.raises(ValueError, match="finite"):
+            optimal_povm_fixed_point(np.full((2, 2), bad), uniform(2))
+        states = np.eye(2)
+        states[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            optimal_povm_fixed_point(states, uniform(2))
 
 
 class TestCollectiveSummary:

@@ -8,8 +8,9 @@ from oracles import boundary_polynomial, integral_i_r
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
-from qchangepoint.exceptions import DegenerateEnsembleError
+from qchangepoint import gram
 from qchangepoint.gram import (
+    DegenerateEnsembleError,
     build_gram,
     diag_deviation_asymptotic,
     jacobi_eigensolve,
@@ -257,9 +258,22 @@ class TestJacobiEigensolve:
         values, _ = jacobi_eigensolve(np.eye(7))
         np.testing.assert_allclose(values, np.ones(7), atol=1e-15)
 
-    def test_rejects_non_symmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigensolve(np.array([[1.0, 0.5], [0.2, 1.0]]))
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1.0, 0.5], [0.2, 1.0]], "not symmetric"),
+        ([[1.0, math.nan], [math.nan, 1.0]], "finite"),
+        ([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]], "square"),
+    ], ids=["asymmetric", "nan", "non-square"])
+    def test_rejects_bad_matrix(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            jacobi_eigensolve(np.array(matrix))
+
+    def test_runs_out_of_sweeps(self, monkeypatch):
+        # one sweep leaves off-diagonal mass at c = 0.9; the failure is a
+        # plain RuntimeError, not a package type
+        monkeypatch.setattr(gram, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="within 1 sweeps") as failure:
+            jacobi_eigensolve(build_gram(6, 0.9))
+        assert type(failure.value) is RuntimeError
 
     @pytest.mark.parametrize("c", C_GRID)
     @pytest.mark.parametrize("n", [2, 3, 7, 25, 90])

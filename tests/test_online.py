@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import qchangepoint.online as online_module
-from qchangepoint.exceptions import ImpossibleOutcomeError
 from qchangepoint.online import (
+    ImpossibleOutcomeError,
     basic_local_closed_form,
     exact_greedy_enumeration,
     helstrom_measurement,
@@ -96,6 +96,12 @@ class TestHelstromMeasurement:
     @pytest.mark.parametrize("p0, pphi", [(math.nan, 1.0), (1.0, math.nan)])
     def test_rejects_nan_priors(self, p0, pphi):
         with pytest.raises(ValueError, match="priors must be >= 0"):
+            helstrom_measurement(p0, pphi, 0.5)
+
+    @pytest.mark.parametrize("p0, pphi", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)])
+    def test_rejects_infinite_priors(self, p0, pphi):
+        # an infinite prior used to give a NaN projector and a success of inf
+        with pytest.raises(ValueError, match="finite"):
             helstrom_measurement(p0, pphi, 0.5)
 
     def test_zero_pphi_never_clicks(self):
