@@ -29,7 +29,6 @@ import argparse
 import contextlib
 import dataclasses
 import errno
-import io
 import json
 import math
 import os
@@ -392,38 +391,28 @@ def run_montecarlo(config: tuple[dict, str, list, int],
                    records: Optional[TextIO] = None) -> list[dict]:
     """Estimate one online strategy over the grid; return the summary rows.
 
-    With a ``records`` handle, every trial's JSONL line is written to it in
-    grid order, and each point's estimate is counted from those same trials.
+    With a ``records`` handle, every trial's JSONL line is streamed to it
+    from the calling thread in grid order, and each point's estimate is
+    counted from those same trials.  ``threads`` spreads the points over
+    workers only in a run without records: a records run is mostly
+    Python-level line formatting, which more threads do not speed up.
     """
     settings, strategy, points, trials = config
     seed = settings["seed"]
-    threads = min(settings["threads"], len(points))
 
-    def worker(point: tuple[int, float]) -> tuple[dict, Optional[str]]:
+    def worker(point: tuple[int, float]) -> dict:
         n, c2 = point
-        text = None
         if records is None:
             estimate, stderr = monte_carlo(strategy, n, math.sqrt(c2), trials, seed)
         else:
-            # one thread streams into the file; several keep each point's text
-            # until the points before it are written
-            sink = records if threads == 1 else io.StringIO()
-            estimate = _write_records(sink.write, strategy, n, c2, trials, seed) / trials
+            estimate = _write_records(records.write, strategy, n, c2, trials, seed) / trials
             stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
-            if sink is not records:
-                text = sink.getvalue()
-        row = {
+        return {
             "strategy": strategy, "n": n, "c2": c2, "trials": trials,
             "estimate": estimate, "std_error": stderr, "base_seed": seed,
         }
-        return row, text
 
-    rows = []
-    for row, text in _map_grid(worker, points, threads):
-        rows.append(row)
-        if text is not None:
-            records.write(text)
-    return rows
+    return list(_map_grid(worker, points, settings["threads"] if records is None else 1))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +432,7 @@ class _Subcommand(NamedTuple):
 # a spectrum draws no random numbers, so it takes no seed; it keeps threads,
 # which changes no output, for callers that pass it to every subcommand
 _COMMON = {"out": "output path (default: stdout)", "format": "csv or jsonl",
-           "threads": "worker threads for grid points"}
+           "threads": "worker threads for grid points (montecarlo with --records uses one)"}
 _SEED = {"seed": "base seed, 64-bit unsigned"}
 _GRID = {"n": "comma-separated sequence lengths",
          "c2": "comma-separated squared overlaps in [0, 1)"}

@@ -298,10 +298,10 @@ def optimal_povm_fixed_point(
     optimality conditions.  The loop stops once the per-iteration gain drops
     below tol; a step that lowers the success probability by more than 1e-12
     ends it with converged=False and the best iterate returned.  The states
-    must be finite, tol > 0 and max_iter an integer >= 1.  The iteration
-    is not monotone: with priors (0.3, 0, 0.4, 0.3) at n=4, c=0.6 the first
-    step lowers the value, so the result is the square-root-measurement value
-    0.907941693817 after 1 iteration.
+    must be a finite 2-D array, tol > 0 and max_iter an integer >= 1.  The
+    iteration is not monotone: with priors (0.3, 0, 0.4, 0.3) at n=4, c=0.6
+    the first step lowers the value, so the result is the
+    square-root-measurement value 0.907941693817 after 1 iteration.
 
     The iteration runs in Gram form.  With steering weights w, B = S diag(sqrt w)
     and M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the elements are E_k = g_k g_k^T
@@ -312,6 +312,8 @@ def optimal_povm_fixed_point(
     formed once at the end.
     """
     states = np.asarray(states, dtype=float)
+    if states.ndim != 2:
+        raise ValueError(f"states must be 2-D, one column per state; got shape {states.shape}")
     if not np.isfinite(states).all():
         raise ValueError("states must be finite")
     n = states.shape[1]

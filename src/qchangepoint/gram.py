@@ -10,10 +10,12 @@ closed-form norm, so a caller builds only the rows it reads; the full
 matrix is formed on first use.  Every collective figure is read
 off one square root, ``_symmetric_root`` (V diag(sqrt(lambda)) V^T and
 nothing else), fed by this spectrum or by LAPACK.  A round-robin Jacobi
-eigensolver is the test oracle only; it stays here because the benchmark
-in ``perfbench/`` times it.  The other oracles (the boundary polynomial,
-the I_r quadrature) live in the tests.  The package's argument checks live
-here: ``_integer``, ``_check_overlap`` (n, c) and ``_symmetric_matrix``.
+eigensolver is the test oracle only.  It stays here only because
+``perfbench/tracing.py`` lists it by name, which ``tests/test_api.py``
+checks; the benchmark's workloads make no call to it.  The other oracles
+(the boundary polynomial, the I_r quadrature) live in the tests.  The
+package's argument checks live here: ``_integer``, ``_check_overlap``
+(n, c) and ``_symmetric_matrix``.
 """
 
 from __future__ import annotations

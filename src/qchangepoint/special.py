@@ -5,9 +5,10 @@ asymptote, and the phase/amplitude form of the boundary polynomial on the
 unit circle.
 
 The library solves the spectrum from the boundary phase (``gram``), so
-``phase_amplitude`` has no library caller.  It stays here only because the
-benchmark in ``perfbench/`` counts its calls; the polynomial itself, its
-oracle, lives in ``tests/oracles.py``.
+``phase_amplitude`` has no library caller.  It stays here only because
+``perfbench/tracing.py`` lists it by name, which ``tests/test_api.py``
+checks; the benchmark's workloads make no call to it.  The polynomial
+itself, its oracle, lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

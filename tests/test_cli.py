@@ -587,16 +587,19 @@ class TestRecordTemplate:
         assert consumed == list(range(12))
         assert max(backlog) <= 3
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("strategy", ["basic", "greedy"])
-    def test_records_memory_is_flat(self, tmp_path, strategy):
+    def test_records_memory_is_flat(self, tmp_path, strategy, threads):
         # the records are streamed: the peak stays near the engine's own
-        # chunk buffers (about 17.5 MB) for 200000 records (about 36 MB of text)
+        # chunk buffers (7 to 9 MB traced) for 2 x 100000 records (about 36 MB
+        # of text), whatever the thread count; holding each point's text in
+        # memory until its turn came peaked at 64 to 68 MB with 2 threads
         records = tmp_path / "records.jsonl"
         tracemalloc.start()
         try:
-            rc = cli.main(["montecarlo", "--strategy", strategy, "--n", "50", "--c2", "0.5",
-                           "--trials", "200000", "--out", str(tmp_path / "mc.csv"),
-                           "--records", str(records)])
+            rc = cli.main(["montecarlo", "--strategy", strategy, "--n", "50", "--c2", "0.3,0.6",
+                           "--trials", "100000", "--threads", threads,
+                           "--out", str(tmp_path / "mc.csv"), "--records", str(records)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

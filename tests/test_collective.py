@@ -389,14 +389,18 @@ class TestFixedPointSolver:
         with pytest.raises(ValueError, match="nonnegative"):
             optimal_povm_fixed_point(np.eye(2), np.array([math.nan, 0.5]))
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_rejects_non_finite_states(self, bad):
-        # these used to report success 0.0, converged, with NaN vectors
-        with pytest.raises(ValueError, match="finite"):
-            optimal_povm_fixed_point(np.full((2, 2), bad), uniform(2))
-        states = np.eye(2)
-        states[1, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
+    @pytest.mark.parametrize("states,message", [
+        (np.full((2, 2), math.inf), "finite"),
+        (np.full((2, 2), math.nan), "finite"),
+        (np.array([[1.0, 0.0], [math.inf, 1.0]]), "finite"),
+        (np.array([[1.0, 0.0], [math.nan, 1.0]]), "finite"),
+        (np.ones(3), r"2-D.*\(3,\)"),
+        (np.ones((2, 2, 2)), r"2-D.*\(2, 2, 2\)"),
+    ], ids=["inf", "nan", "one-inf", "one-nan", "1-D", "3-D"])
+    def test_rejects_bad_states(self, states, message):
+        # non-finite states used to report success 0.0, converged, with NaN
+        # vectors; a 1-D array died with IndexError and a 3-D one with LinAlgError
+        with pytest.raises(ValueError, match=message):
             optimal_povm_fixed_point(states, uniform(2))
 
 
