@@ -7,27 +7,31 @@ fixed-point solver for the optimal POVM.
 The solver stops when its gain falls below a tolerance; it is not monotone,
 and a step that lowers the value ends it unconverged at the best iterate.
 
-Every ``WeightedGram`` is built by ``_weighted`` from an eigendecomposition
-of W: its square root (``gram._symmetric_root``), lambda_max and rank flag
-are written there once.  ``weighted_gram`` and ``embed_states`` pass it
-LAPACK's eigenpairs, ``collective_summary`` the closed-form ones of W = G/n.
-The bounds exist once, in the three bound functions.  The fixed point
-exists once too, in ``_fixed_point``, which needs only G and the priors;
-``optimal_povm_fixed_point`` adds G = S^T S and the POVM vectors around it.
-When the priors equal their reversal and G is persymmetric, as the
-change-point Gram matrix is, each step splits into a reversal-even and a
-reversal-odd block of about n/2 each; otherwise G is the one block.
+The bounds exist once, in ``_bounds``, which reads only tr sqrt(W),
+diag sqrt(W) and lambda_max.  ``weighted_gram`` and ``embed_states`` build
+a ``WeightedGram`` (sqrt(W) in full, from LAPACK's eigenpairs) for any
+priors and Gram matrix.  ``collective_summary`` forms no n x n root: the
+closed-form spectrum of W = G/n gives tr sqrt(W) and lambda_max, and the
+chain kernel ``gram._chain_root_diagonal`` at w = 1/n gives diag sqrt(W).
+The fixed point exists once too, in ``_fixed_point``, which needs only G
+and the priors and reads only diag(M^{1/2}) per step.  On the change-point
+Gram matrix with every prior positive, a step is the chain kernel, O(n N)
+with no eigendecomposition: the chain core.  Any other G, zero priors
+included, takes one n x n LAPACK eigendecomposition per step: the dense
+core.  ``optimal_povm_fixed_point`` forms G = S^T S for it; the POVM
+vectors are built, with one eigendecomposition, only when first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .gram import (DegenerateEnsembleError, _integer, _symmetric_matrix, _symmetric_root,
-                   build_gram, solve_spectrum, sqrt_trace_limit)
+from .gram import (DegenerateEnsembleError, _chain_root_diagonal, _integer, _symmetric_matrix,
+                   _symmetric_root, build_gram, solve_spectrum, sqrt_trace_limit)
 
 __all__ = [
     "WeightedGram",
@@ -45,6 +49,11 @@ __all__ = [
 
 _PRIOR_TOL = 1e-12
 _RANK_TOL = 1e-12
+# The chain kernel scales the weights to max 1 and needs its upper spectral
+# bound (1+c)/((1-c) min w) finite.  Steering weights stay within a factor
+# ((1+c)/(1-c))^{+-1} of the priors, so with every prior at least this the
+# bound is below ((1+c)/(1-c))^3 max p / min p < 1e250 for every c < 1.
+_CHAIN_MIN_PRIOR = 1e-200
 
 
 @dataclass(frozen=True)
@@ -71,13 +80,26 @@ class PovmSolverResult:
     """Outcome of the fixed-point POVM iteration.
 
     The optimal elements are rank one, E_k = g_k g_k^T, so only the vectors
-    are stored: vectors[:, k] is g_k, in the coordinates of the states.
+    are kept: vectors[:, k] is g_k, in the coordinates of the states.  They
+    are built from the states and the steering weights of the returned
+    iterate, with one eigendecomposition, the first time they are read.
     """
 
     success_probability: float
-    vectors: np.ndarray
     iterations: int
     converged: bool
+    _states: np.ndarray = field(repr=False, compare=False)
+    _weights: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """g = B M^{-1/2}, B = S diag(sqrt w) and M = B^T B; directions of M
+        below 1e-12 of its top eigenvalue are pseudo-inverted away."""
+        scaled = self._states * np.sqrt(self._weights)
+        vals, vecs = np.linalg.eigh(scaled.T @ scaled)
+        root_vals = np.sqrt(np.where(vals > _RANK_TOL * max(vals[-1], 0.0), vals, 0.0))
+        inv_root = np.divide(1.0, root_vals, out=np.zeros(vals.size), where=root_vals > 0.0)
+        return scaled @ (vecs * inv_root) @ vecs.T
 
 
 @dataclass(frozen=True)
@@ -125,22 +147,39 @@ def weighted_gram(gram: np.ndarray, priors: np.ndarray) -> WeightedGram:
     return _weighted(w, *np.linalg.eigh(w))
 
 
+def _bounds(n: int, sqrt_trace: float, diagonal: np.ndarray, lambda_max: float):
+    """(lower bound, SRM value, upper bound) from tr sqrt(W), diag sqrt(W) and
+    lambda_max of W.
+
+    The lower bound (tr sqrt(W))^2 / n is achievable.  The SRM value is
+    sum_k (sqrt W)_kk^2.  The upper bound is the lower one plus
+    sqrt(n lambda_max) times the l1-distance of q = diag(sqrt(W)) / tr(sqrt(W))
+    from uniform.
+    """
+    lower = sqrt_trace**2 / n
+    deviation = float(np.abs(diagonal / sqrt_trace - 1.0 / n).sum())
+    return lower, float((diagonal**2).sum()), lower + math.sqrt(n * lambda_max) * deviation
+
+
+def _weighted_bounds(weighted: WeightedGram):
+    return _bounds(weighted.n, weighted.sqrt_trace, np.diag(weighted.sqrt_matrix),
+                   weighted.lambda_max)
+
+
 def success_lower_bound(weighted: WeightedGram) -> float:
     """(tr sqrt(W))^2 / n: achievable, hence a lower bound on the optimum."""
-    return weighted.sqrt_trace**2 / weighted.n
+    return _weighted_bounds(weighted)[0]
 
 
 def success_upper_bound(weighted: WeightedGram) -> float:
     """Lower bound plus sqrt(n lambda_max) * l1-distance of q from uniform,
     where q = diag(sqrt(W)) / tr(sqrt(W))."""
-    diagonal = np.diag(weighted.sqrt_matrix)
-    deviation = float(np.abs(diagonal / diagonal.sum() - 1.0 / weighted.n).sum())
-    return success_lower_bound(weighted) + math.sqrt(weighted.n * weighted.lambda_max) * deviation
+    return _weighted_bounds(weighted)[2]
 
 
 def srm_success(weighted: WeightedGram) -> float:
     """Success probability of the square root measurement: sum_k (sqrt W)_kk^2."""
-    return float((np.diag(weighted.sqrt_matrix) ** 2).sum())
+    return _weighted_bounds(weighted)[1]
 
 
 def asymptotic_pmax(c: float) -> float:
@@ -171,117 +210,59 @@ def embed_states(gram: np.ndarray) -> np.ndarray:
     return embedded.sqrt_matrix
 
 
-def _reversal_blocks(gram: np.ndarray, priors: np.ndarray):
-    """The blocks the fixed point runs on, and the index classes they act on.
-
-    G_ij = c^|i-j| is persymmetric (J G J = G, J the reversal).  With priors
-    that equal their reversal the steering weights stay symmetric, and every
-    M = sqrt(w) G sqrt(w) splits into a block on the reversal-even vectors
-    (e_i + e_{n-1-i})/sqrt(2) and e_m at the middle of odd n, of size
-    ceil(n/2), and one on the reversal-odd vectors (e_i - e_{n-1-i})/sqrt(2),
-    of size floor(n/2) (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).
-    Index i and its mirror then form one class, and the weights live on the
-    first ceil(n/2) indices.
-
-    Returns (blocks, classes), classes[i] being the class of index i.  Each
-    block is (matrix, rows, scale): entry i of the block's basis vector j is
-    scale[i] if rows[i] == j and 0 otherwise, so row i of its eigenvectors
-    unfolded to full length is scale[i] * vecs[rows[i]].  Without the
-    symmetry, or more than 1e-12 of max|G| away from it, G itself is the
-    single block and each index is its own class.
-    """
-    n = gram.shape[0]
-    index = np.arange(n)
-    flipped = gram[::-1, ::-1]
-    if (n == 1 or not np.array_equal(priors, priors[::-1])
-            or np.abs(gram - flipped).max() > _RANK_TOL * np.abs(gram).max()):
-        return [(gram, index, np.ones(n))], index
-    half, pairs = (n + 1) // 2, n // 2
-    symmetric = (gram + flipped) / 2.0
-    mirrored = symmetric[:half, ::-1][:, :half]  # entry (i, j) is symmetric[i, n-1-j]
-    even = symmetric[:half, :half] + mirrored
-    odd = symmetric[:pairs, :pairs] - mirrored[:pairs, :pairs]
-    if n % 2:
-        # the middle basis vector is e_m, not a normalised pair
-        even[pairs] /= math.sqrt(2.0)
-        even[:, pairs] /= math.sqrt(2.0)
-    mirror = index[::-1]
-    classes = np.minimum(index, mirror)
-    norm = np.where(index == mirror, 1.0, math.sqrt(0.5))
-    # the odd vectors vanish at the middle index, whatever row it points at
-    odd_rows = np.minimum(classes, pairs - 1)
-    return [(even, classes, norm), (odd, odd_rows, np.sign(mirror - index) * norm)], classes
-
-
 def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int):
     """The fixed-point iteration on the Gram matrix alone; see optimal_povm_fixed_point.
 
-    Runs on the blocks of ``_reversal_blocks`` with one weight per index
-    class.  Returns (value, iterations, converged, (root_w, vecs, root_vals)),
-    the last being the eigendecomposition of M at the returned iterate,
-    unfolded to full length.
+    A step reads only diag(M^{1/2}), M = sqrt(w_i) G_ij sqrt(w_j).  On the
+    change-point chain (n >= 2, c = G[0, 1] in [0, 1) and G within 1e-12 of
+    max|G| of build_gram(n, c)) with every prior positive (at least 1e-200),
+    the steering weights stay positive and ``gram._chain_root_diagonal``
+    gives it.  Any other G or priors, zero priors included, take one eigh
+    of M per step, with the directions below 1e-12 of its top eigenvalue
+    pseudo-inverted away.
+    Returns (value, iterations, converged, weights), the last being the
+    steering weights of the returned iterate.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     max_iter = _integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    blocks, classes = _reversal_blocks(gram, priors)
-    counts = np.bincount(classes).astype(float)
-    size = counts.size
-    priors = priors[:size]
-    # each class counts once per member in the success probability
-    class_priors = counts * priors
-
-    def steer(weights: np.ndarray):
-        # M shares its nonzero spectrum with the state-space aggregate
-        # B B^T; pseudo-invert anything below 1e-12 of the top eigenvalue
-        # over all blocks.  A block's (M^{1/2})_ii is shared by the members
-        # of class i, so the diagonal is the sum over blocks over the count.
-        root_w = np.sqrt(weights)
-        eigs = []
-        for block, _, _ in blocks:
-            root = root_w[: block.shape[0]]
-            eigs.append(np.linalg.eigh(root[:, np.newaxis] * block * root))
-        top = max(max(float(vals[-1]), 0.0) for vals, _ in eigs)
-        diagonal = np.zeros(size)
-        parts = []
-        for vals, vecs in eigs:
-            root_vals = np.sqrt(np.where(vals > _RANK_TOL * top, vals, 0.0))
-            diagonal[: vals.size] += (vecs**2) @ root_vals
-            parts.append((vecs, root_vals))
-        overlaps = np.divide(
-            diagonal / counts, root_w, out=np.zeros(size), where=root_w > 0.0
-        )
-        return overlaps, (root_w, parts)
+    n = gram.shape[0]
+    c = float(gram[0, 1]) if n >= 2 else math.nan
+    if (0.0 <= c < 1.0 and priors.min() >= _CHAIN_MIN_PRIOR
+            and np.abs(gram - build_gram(n, c)).max() <= _RANK_TOL * np.abs(gram).max()):
+        def overlaps_at(weights: np.ndarray) -> np.ndarray:
+            return _chain_root_diagonal(weights, c) / np.sqrt(weights)
+    else:
+        def overlaps_at(weights: np.ndarray) -> np.ndarray:
+            root_w = np.sqrt(weights)
+            vals, vecs = np.linalg.eigh(root_w[:, np.newaxis] * gram * root_w)
+            root_vals = np.sqrt(np.where(vals > _RANK_TOL * max(vals[-1], 0.0), vals, 0.0))
+            return np.divide((vecs**2) @ root_vals, root_w, out=np.zeros(n), where=root_w > 0.0)
 
     # square root measurement: steering weights equal to the priors
-    overlaps, current = steer(priors)
-    success = float((class_priors * overlaps**2).sum())
-    best, best_success = current, success
+    weights = priors
+    overlaps = overlaps_at(weights)
+    success = float((priors * overlaps**2).sum())
+    best, best_success = weights, success
 
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        overlaps, current = steer(priors * overlaps**2)
-        new_success = float((class_priors * overlaps**2).sum())
+        weights = priors * overlaps**2
+        overlaps = overlaps_at(weights)
+        new_success = float((priors * overlaps**2).sum())
         gain = new_success - success
         success = new_success
         if success > best_success:
-            best, best_success = current, success
+            best, best_success = weights, success
         if gain < tol:
             converged = gain > -1e-12
             break
     if not converged:
-        current, success = best, best_success
-
-    root_w, parts = current
-    vecs = np.hstack([
-        scale[:, np.newaxis] * block_vecs[rows]
-        for (_, rows, scale), (block_vecs, _) in zip(blocks, parts)
-    ])
-    root_vals = np.concatenate([root_vals for _, root_vals in parts])
-    return success, iterations, converged, (root_w[classes], vecs, root_vals)
+        weights, success = best, best_success
+    return success, iterations, converged, weights
 
 
 def optimal_povm_fixed_point(
@@ -305,30 +286,24 @@ def optimal_povm_fixed_point(
 
     The iteration runs in Gram form.  With steering weights w, B = S diag(sqrt w)
     and M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the elements are E_k = g_k g_k^T
-    with g = B M^{-1/2}, and <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k).  A step is
-    one n x n eigendecomposition of M, or, when the priors equal their reversal
-    and G = J G J to 1e-12 of max|G| (J the reversal), one of size ceil(n/2) and
-    one of size floor(n/2), about a quarter of the cost each; the vectors g are
-    formed once at the end.
+    with g = B M^{-1/2}, and <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k), so a step
+    reads only diag(M^{1/2}).  When G = S^T S is the change-point Gram matrix
+    (n >= 2, c = G[0, 1] in [0, 1), G within 1e-12 of max|G| of c^|i-j|) and
+    every prior is positive (at least 1e-200), a step is the O(n N) chain
+    kernel and no eigendecomposition; otherwise it is one n x n
+    eigendecomposition of M.
+    The vectors g are formed when first read, from one eigendecomposition of
+    M at the returned steering weights.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise ValueError(f"states must be 2-D, one column per state; got shape {states.shape}")
     if not np.isfinite(states).all():
         raise ValueError("states must be finite")
-    n = states.shape[1]
-    priors = _checked_priors(priors, n)
-    success, iterations, converged, (root_w, vecs, root_vals) = _fixed_point(
-        states.T @ states, priors, tol, max_iter
-    )
-    inv_root = np.divide(1.0, root_vals, out=np.zeros(n), where=root_vals > 0.0)
-    vectors = (states * root_w) @ (vecs * inv_root) @ vecs.T
-    return PovmSolverResult(
-        success_probability=success,
-        vectors=vectors,
-        iterations=iterations,
-        converged=converged,
-    )
+    priors = _checked_priors(priors, states.shape[1])
+    success, iterations, converged, weights = _fixed_point(states.T @ states, priors, tol, max_iter)
+    return PovmSolverResult(success_probability=success, iterations=iterations,
+                            converged=converged, _states=states, _weights=weights)
 
 
 def collective_summary(
@@ -339,22 +314,26 @@ def collective_summary(
 ) -> CollectiveSummary:
     """All collective figures at one (n, c) point under uniform priors.
 
-    The bounds and the SRM come from the closed-form spectrum: W = G/n has
-    the eigenvalues lambda_l/n of G and its eigenvectors.  The solver is fed
-    the states sqrt(n) sqrt(W) = sqrt(G); uniform priors are
-    reversal-symmetric, so it runs two half-size LAPACK eigendecompositions
-    per step.
+    No n x n root and no eigendecomposition: W = G/n has the eigenvalues
+    lambda_l/n of G, so tr sqrt(W) and lambda_max come from the closed-form
+    spectrum, and diag sqrt(W) from the chain kernel at w = 1/n.  The solver
+    is fed the triangular Gram-Schmidt factor R of G, G = R^T R: row 1 of R
+    is row 1 of G, and row i >= 2 is sqrt(1-c^2) times the upper part of
+    row i of G.  So it runs on the chain core.
     """
     spectrum = solve_spectrum(n, c)
-    uniform = _weighted(build_gram(n, c) / n, spectrum.lambdas / n, spectrum.eigvecs)
-    result = optimal_povm_fixed_point(math.sqrt(n) * uniform.sqrt_matrix, np.full(n, 1.0 / n),
-                                      tol=tol, max_iter=max_iter)
+    uniform = np.full(n, 1.0 / n)
+    lower, srm, upper = _bounds(n, float(np.sqrt(spectrum.lambdas / n).sum()),
+                                _chain_root_diagonal(uniform, c), float(spectrum.lambdas.max()) / n)
+    factor = np.triu(build_gram(n, c))
+    factor[1:] *= math.sqrt((1.0 - c) * (1.0 + c))
+    result = optimal_povm_fixed_point(factor, uniform, tol=tol, max_iter=max_iter)
     return CollectiveSummary(
         n=n,
         c=c,
-        lower_bound=success_lower_bound(uniform),
-        srm=srm_success(uniform),
+        lower_bound=lower,
+        srm=srm,
         fixed_point_opt=result.success_probability,
-        upper_bound=success_upper_bound(uniform),
+        upper_bound=upper,
         asymptotic=asymptotic_pmax(c),
     )

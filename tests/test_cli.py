@@ -692,18 +692,15 @@ class TestSweepContent:
 
     def test_overlap_next_to_one(self, capsys):
         # the largest float below 1: the spectrum stays finite and the sweep
-        # finishes with a number in every collective column.  The numbers are
-        # not all right: see test_ordering_next_to_one
+        # finishes with a number in every collective column
         assert cli.main(["sweep", "--n", "3", "--c2", "0.9999999999999999"]) == 0
         cells = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert all(math.isfinite(float(cell)) for cell in cells[2:7])
 
-    @pytest.mark.xfail(strict=True, reason="fixed_point_opt falls below lower_bound: the "
-                       "solver's 1e-12 pseudo-inverse cut drops two of G's three "
-                       "directions (ROADMAP item 2)")
     def test_ordering_next_to_one(self, capsys):
-        # known violation, recorded as a FOUND line in CHANGES.md; a fix
-        # makes this test pass, and strict=True then reports it
+        # G's two small eigenvalues (~1e-16) lie below a relative 1e-12
+        # pseudo-inverse cut, which would leave fixed_point_opt at 1/3, below
+        # lower_bound; the chain core has no cut
         assert cli.main(["sweep", "--n", "3", "--c2", "0.9999999999999999"]) == 0
         cells = [float(cell) for cell in
                  capsys.readouterr().out.strip().split("\n")[1].split(",")[2:6]]

@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import quad
 
 from qchangepoint.collective import (
-    _reversal_blocks,
     asymptotic_pmax,
     collective_summary,
     embed_states,
@@ -70,6 +69,20 @@ def state_space_fixed_point(states, priors, tol=1e-10, max_iter=10_000):
                 return value, g, iterations, True
             break
     return best[0], best[1], iterations, False
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The sizes of the matrices handed to np.linalg.eigh, in call order."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix)[0])
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return calls
 
 
 def assert_matches_state_space_reference(states, priors):
@@ -293,44 +306,67 @@ class TestFixedPointSolver:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9])
     @pytest.mark.parametrize("draw", ["uniform", "dirichlet"])
     def test_reversal_split_matches_state_space_reference(self, n, c, draw):
-        # reversal-symmetric priors on the persymmetric chain take the split
-        # into even and odd blocks; the oracle runs on the full state space
+        # reversal-symmetric priors on the persymmetric chain, which an
+        # earlier solver split into even and odd blocks; the chain core runs
+        # them (n >= 2), the oracle on the full state space
         states = embed_states(build_gram(n, c))
         priors = uniform(n)
         if draw == "dirichlet":
             p = np.random.default_rng([n, int(100 * c)]).dirichlet(np.ones(n))
             priors = (p + p[::-1]) / 2
-        blocks, _ = _reversal_blocks(states.T @ states, priors)
-        assert [block.shape[0] for block, _, _ in blocks] == ([1] if n == 1 else [(n + 1) // 2, n // 2])
         assert_matches_state_space_reference(states, priors)
 
     def test_symmetric_priors_on_asymmetric_states_match_reference(self):
-        # symmetric priors alone must not split: the states' Gram matrix is
-        # not persymmetric, so the solver runs on the whole of it
+        # the states' Gram matrix is not the chain, so the dense core runs
         n = 6
         states = np.random.default_rng(13).normal(size=(n, n))
         states /= np.linalg.norm(states, axis=0)
         priors = np.array([0.1, 0.15, 0.25, 0.25, 0.15, 0.1])
-        blocks, _ = _reversal_blocks(states.T @ states, priors)
-        assert len(blocks) == 1
         assert_matches_state_space_reference(states, priors)
 
-    @pytest.mark.parametrize("n", [150, 149])
-    def test_uniform_solve_runs_on_half_size_blocks(self, monkeypatch, n):
-        # timing-free guard on the split: under uniform priors every solver
-        # step is one eigendecomposition per block, of sizes ceil(n/2) and
-        # floor(n/2), and collective_summary runs no other eigh
-        sizes = []
-        eigh = np.linalg.eigh
+    @pytest.mark.parametrize("n, c2", [(150, 0.81), (149, 0.5), (2, 0.9999999999999999)])
+    def test_summary_runs_no_eigh(self, eigh_calls, n, c2):
+        # timing-free guard on the chain core: the bounds come from the
+        # closed-form spectrum and the chain kernel, the fixed point from the
+        # chain core, and nothing reads the POVM vectors
+        collective_summary(n, math.sqrt(c2))
+        assert eigh_calls == []
 
-        def recording_eigh(matrix, *args, **kwargs):
-            sizes.append(np.shape(matrix)[0])
-            return eigh(matrix, *args, **kwargs)
+    def test_chain_core_runs_no_eigh_until_vectors_are_read(self, eigh_calls):
+        n = 40
+        states = embed_states(build_gram(n, 0.8))
+        priors = np.random.default_rng(40).dirichlet(np.ones(n))
+        eigh_calls.clear()
+        result = optimal_povm_fixed_point(states, priors)
+        assert result.iterations > 1
+        assert eigh_calls == []
+        vectors = result.vectors
+        assert eigh_calls == [n]
+        assert result.vectors is vectors
+        assert eigh_calls == [n]
 
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        collective_summary(n, 0.9)
-        assert sizes
-        assert sizes == [75, n - 75] * (len(sizes) // 2)
+    def test_dense_core_runs_one_eigh_per_step(self, eigh_calls):
+        # the square-root-measurement seed and every iteration are one step
+        n = 12
+        states = np.random.default_rng(12).normal(size=(n, n))
+        states /= np.linalg.norm(states, axis=0)
+        result = optimal_povm_fixed_point(states, uniform(n))
+        assert result.iterations > 1
+        assert eigh_calls == [n] * (result.iterations + 1)
+
+    @pytest.mark.parametrize("priors", [
+        [0.3, 0.0, 0.4, 0.3],
+        # reversal-symmetric, which an earlier solver split into halves
+        [0.2, 0.0, 0.3, 0.3, 0.0, 0.2],
+    ])
+    def test_zero_priors_on_the_chain_take_the_dense_core(self, eigh_calls, priors):
+        priors = np.array(priors)
+        n = priors.size
+        states = embed_states(build_gram(n, 0.6))
+        eigh_calls.clear()
+        result = optimal_povm_fixed_point(states, priors)
+        assert eigh_calls == [n] * (result.iterations + 1)
+        assert_matches_state_space_reference(states, priors)
 
     def test_zero_prior_gives_zero_element(self):
         states = embed_states(build_gram(4, 0.6))
@@ -422,15 +458,13 @@ class TestCollectiveSummary:
         # for two states every collective figure is the Helstrom value; at
         # c^2 = 0.999999 a cancelling spectrum misses it by about 1e-10, and
         # at c one ulp below 1 a spectrum bisected on the uncomplemented
-        # phase by 1e-8.  There the fixed point reads 0.5, 7.45e-9 below:
-        # its 1e-12 pseudo-inverse cut drops G's second direction
-        # (eigenvalue 1.1e-16), so it is left out at that point
+        # phase by 1e-8.  There a dense fixed point read 0.5, 7.45e-9 below:
+        # its 1e-12 pseudo-inverse cut dropped G's second direction
+        # (eigenvalue 1.1e-16), which the chain core keeps
         c = math.sqrt(c2)
         helstrom = (1 + math.sqrt((1 - c) * (1 + c))) / 2
         summary = collective_summary(2, c)
-        values = [summary.lower_bound, summary.srm, summary.upper_bound]
-        if c2 < 0.9999999999999999:
-            values.append(summary.fixed_point_opt)
+        values = [summary.lower_bound, summary.srm, summary.upper_bound, summary.fixed_point_opt]
         for value in values:
             assert value == pytest.approx(helstrom, abs=1e-12)
 

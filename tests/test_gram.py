@@ -7,6 +7,7 @@ import pytest
 from oracles import boundary_polynomial, integral_i_r
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dgejsv
 
 from qchangepoint import gram
 from qchangepoint.gram import (
@@ -245,6 +246,78 @@ class TestSqrtGram:
         values, vectors = jacobi_eigensolve(build_gram(n, c))
         oracle = vectors @ (np.sqrt(values)[:, None] * vectors.T)
         assert np.abs(root - oracle).max() < 1e-8
+
+
+def gram_schmidt_factor(n, c):
+    """Upper-triangular R with R^T R = build_gram(n, c): row 1 of G, then
+    sqrt(1-c^2) times the upper part of each later row."""
+    factor = np.triu(build_gram(n, c))
+    factor[1:] *= math.sqrt((1 - c) * (1 + c))
+    return factor
+
+
+def jacobi_svd_root_diagonal(weights, c):
+    """Oracle for diag((D G D)^{1/2}): the SVD of R D by LAPACK's preconditioned
+    one-sided Jacobi (dgejsv), which keeps the relative precision of every
+    singular value and right singular vector of a column-scaled matrix."""
+    sva, _, v, work, _, info = dgejsv(gram_schmidt_factor(weights.size, c) * np.sqrt(weights),
+                                      jobu=3, jobv=0)
+    assert info == 0
+    return (v**2) @ (sva * (work[0] / work[1]))
+
+
+class TestChainRootDiagonal:
+    @pytest.mark.parametrize("c2", [0.0, 0.5, 0.99, 0.9999, 0.999999, 0.9999999999999999])
+    @pytest.mark.parametrize("n", [2, 3, 10, 450])
+    def test_uniform_weights_match_closed_form_spectrum(self, n, c2):
+        # diag sqrt(G/n) = (eigvecs^2) sqrt(lambda/n), every term positive
+        c = math.sqrt(c2)
+        spectrum = solve_spectrum(n, c)
+        closed_form = (spectrum.eigvecs**2) @ np.sqrt(spectrum.lambdas / n)
+        diagonal = gram._chain_root_diagonal(np.full(n, 1.0 / n), c)
+        assert np.abs(diagonal / closed_form - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("c2", [0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [2, 5, 17, 60, 200])
+    def test_dirichlet_weights_match_oracles(self, n, c2):
+        # eigh is accurate relative to its largest eigenvalue, not entry by
+        # entry: at (n=60, c^2=0.99) its small entries were off by 2.4e-12
+        # relative, where the kernel and a 50-digit mpmath diagonal agreed to
+        # 4e-16; so eigh is held to sqrt(lambda_max), the Jacobi SVD entry by entry
+        c = math.sqrt(c2)
+        weights = np.random.default_rng([n, int(100 * c2)]).dirichlet(np.ones(n))
+        diagonal = gram._chain_root_diagonal(weights, c)
+        root_w = np.sqrt(weights)
+        values, vectors = np.linalg.eigh(root_w[:, None] * build_gram(n, c) * root_w)
+        by_eigh = (vectors**2) @ np.sqrt(values)
+        assert np.abs(diagonal - by_eigh).max() <= 1e-12 * math.sqrt(values.max())
+        assert np.abs(diagonal / jacobi_svd_root_diagonal(weights, c) - 1.0).max() <= 1e-12
+
+    def test_single_state_and_orthogonal_states(self):
+        weights = np.array([0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_array_equal(gram._chain_root_diagonal(weights, 0.0), np.sqrt(weights))
+        single = gram._chain_root_diagonal(np.array([0.7]), 0.9)
+        np.testing.assert_array_equal(single, [math.sqrt(0.7)])
+
+    @pytest.mark.parametrize("ratio", [1.0, 4.0, 1e3, 1.6e5, 1e10, 1e20, 1e33, 1e66])
+    @pytest.mark.parametrize("low", [1e-17, 0.37, 3.0])
+    def test_sqrt_rule(self, low, ratio):
+        # sum_j a_j / (mu + s_j) = mu^{-1/2} on [low, high]: to 1e-15 at both
+        # ends, and to 1e-13 inside, where the nodes' own rounding
+        # (~1e-14 near u = K/2 at the widest ranges) enters at first order
+        high = low * ratio
+        nodes, weights = gram._sqrt_rule(low, high)
+        assert (nodes > 0).all() and (weights > 0).all()
+        for mu in (low, high):
+            assert abs(math.fsum(weights / (mu + nodes)) * math.sqrt(mu) - 1.0) <= 1e-15
+        for mu in np.geomspace(low, high, 41):
+            assert abs(math.fsum(weights / (mu + nodes)) * math.sqrt(mu) - 1.0) <= 1e-13
+
+    def test_sqrt_rule_node_count(self):
+        # N follows from the error bound exp(-2 pi^2 N / (ln(high/low) + 2.8)) <= 2^-53
+        for ratio, count in ((1.0, 6), (1.6e5, 28), (1e33, 147)):
+            nodes, _ = gram._sqrt_rule(1.0, ratio)
+            assert nodes.size == count
 
 
 class TestJacobiEigensolve:
