@@ -33,7 +33,6 @@ import json
 import math
 import os
 import sys
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
@@ -42,7 +41,7 @@ import numpy as np
 
 from .collective import collective_summary
 from .gram import diag_deviation_asymptotic, solve_spectrum, sqrt_trace_limit
-from .online import basic_local_closed_form, iter_trial_records, monte_carlo
+from .online import _binomial_estimate, basic_local_closed_form, iter_trial_records, monte_carlo
 
 __all__ = ["ConfigError", "main", "entrypoint",
            "run_sweep", "run_spectrum_dump", "run_montecarlo"]
@@ -284,23 +283,14 @@ def _staged_outputs(*paths: Optional[str]) -> Iterator[list]:
         raise
 
 
-def _map_grid(worker, points, threads: int) -> Iterator:
-    """Yield worker(point) for every point in grid order.
-
-    With several threads, at most ``threads`` points are computed or waiting
-    to be consumed at any time, so per-point results never pile up.
-    """
-    if threads == 1 or len(points) <= 1:
-        yield from map(worker, points)
-        return
+def _map_grid(worker, points, threads: int) -> list:
+    """worker(point) for every point, in grid order: in the calling thread
+    with one thread, else on a pool whose result iterator cancels the points
+    not yet started once one raises, and re-raises."""
+    if threads == 1:
+        return list(map(worker, points))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for point in points:
-            if len(pending) == threads:
-                yield pending.popleft().result()
-            pending.append(pool.submit(worker, point))
-        while pending:
-            yield pending.popleft().result()
+        return list(pool.map(worker, points))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +346,7 @@ def run_sweep(config: tuple[dict, list, int, float, int]) -> list[dict]:
             row["greedy_stderr"] = stderr
         return row
 
-    return list(_map_grid(worker, points, settings["threads"]))
+    return _map_grid(worker, points, settings["threads"])
 
 
 def run_spectrum_dump(config: tuple[dict, int, float, int]) -> list[dict]:
@@ -405,14 +395,14 @@ def run_montecarlo(config: tuple[dict, str, list, int],
         if records is None:
             estimate, stderr = monte_carlo(strategy, n, math.sqrt(c2), trials, seed)
         else:
-            estimate = _write_records(records.write, strategy, n, c2, trials, seed) / trials
-            stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
+            successes = _write_records(records.write, strategy, n, c2, trials, seed)
+            estimate, stderr = _binomial_estimate(successes, trials)
         return {
             "strategy": strategy, "n": n, "c2": c2, "trials": trials,
             "estimate": estimate, "std_error": stderr, "base_seed": seed,
         }
 
-    return list(_map_grid(worker, points, settings["threads"] if records is None else 1))
+    return _map_grid(worker, points, settings["threads"] if records is None else 1)
 
 
 # ---------------------------------------------------------------------------

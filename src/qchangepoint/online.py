@@ -287,6 +287,12 @@ def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int
         yield seeds, true_k, guess, outcomes
 
 
+def _binomial_estimate(successes: int, trials: int) -> tuple[float, float]:
+    """The success fraction and its binomial standard error."""
+    estimate = successes / trials
+    return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
+
+
 def monte_carlo(
     strategy: str,
     n: int,
@@ -305,8 +311,7 @@ def monte_carlo(
     successes = 0
     for _, true_k, guess, _ in _chunked_trials(strategy, n, c, trials, base_seed):
         successes += int((guess == true_k).sum())
-    estimate = successes / trials
-    return estimate, math.sqrt(estimate * (1.0 - estimate) / trials)
+    return _binomial_estimate(successes, trials)
 
 
 def iter_trial_records(

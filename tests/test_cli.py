@@ -7,7 +7,6 @@ import json
 import math
 import os
 import stat
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -439,6 +438,22 @@ class TestFailedRunLeavesNoFile:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_sweep_failure_on_a_worker_thread(self, tmp_path, monkeypatch):
+        # the third of six points raises on a pool thread: the error leaves
+        # cli.main and no output remains
+        original = cli.collective_summary
+
+        def failing(n, c, **kwargs):
+            if n == 4:
+                raise InjectedFailure("point 3")
+            return original(n, c, **kwargs)
+
+        monkeypatch.setattr(cli, "collective_summary", failing)
+        with pytest.raises(InjectedFailure):
+            cli.main(["sweep", "--n", "2,3,4,5,6,7", "--c2", "0.5", "--threads", "3",
+                      "--out", str(tmp_path / "sweep.csv")])
+        assert list(tmp_path.iterdir()) == []
+
     def test_records_failure_mid_write(self, tmp_path, monkeypatch, capsys):
         # the records stream fails after 30 lines; neither the summary nor the
         # records file of the run may remain
@@ -570,22 +585,6 @@ class TestRecordTemplate:
             outputs.append((out.read_bytes(), records.read_bytes()))
         assert outputs[0] == outputs[1]
         assert outputs[0][1].count(b"\n") == 4 * 300
-
-    def test_threads_hold_a_bounded_number_of_points(self):
-        lock = threading.Lock()
-        started, consumed, backlog = [], [], []
-
-        def worker(point):
-            with lock:
-                started.append(point)
-            return point
-
-        for point in cli._map_grid(worker, list(range(12)), 3):
-            with lock:
-                backlog.append(len(started) - len(consumed))
-            consumed.append(point)
-        assert consumed == list(range(12))
-        assert max(backlog) <= 3
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("strategy", ["basic", "greedy"])

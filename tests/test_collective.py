@@ -24,6 +24,7 @@ from qchangepoint.gram import (
     solve_spectrum,
     sqrt_gram,
 )
+from test_gram import gram_schmidt_factor
 
 
 def uniform(n):
@@ -82,6 +83,20 @@ def eigh_calls(monkeypatch):
         return eigh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes of the matrices handed to np.linalg.svd, in call order."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     return calls
 
 
@@ -332,18 +347,32 @@ class TestFixedPointSolver:
         collective_summary(n, math.sqrt(c2))
         assert eigh_calls == []
 
-    def test_chain_core_runs_no_eigh_until_vectors_are_read(self, eigh_calls):
+    def test_chain_core_runs_no_eigh_until_vectors_are_read(self, eigh_calls, svd_calls):
+        # the solve runs no decomposition; the vectors are one thin SVD of
+        # the steered states, taken on the first read only
         n = 40
         states = embed_states(build_gram(n, 0.8))
         priors = np.random.default_rng(40).dirichlet(np.ones(n))
         eigh_calls.clear()
         result = optimal_povm_fixed_point(states, priors)
         assert result.iterations > 1
-        assert eigh_calls == []
+        assert eigh_calls == [] and svd_calls == []
         vectors = result.vectors
-        assert eigh_calls == [n]
+        assert eigh_calls == [] and svd_calls == [(n, n)]
         assert result.vectors is vectors
-        assert eigh_calls == [n]
+        assert eigh_calls == [] and svd_calls == [(n, n)]
+
+    @pytest.mark.parametrize("n, c2", [(3, 1 - 1e-10), (10, 0.999999), (50, 0.99)])
+    def test_vectors_near_c_one_resolve_identity(self, n, c2):
+        # squaring B into M = B^T B and pseudo-inverting its root left the
+        # elements summing to I only to 3.3e-6 at (3, 1 - 1e-10)
+        states = gram_schmidt_factor(n, math.sqrt(c2))
+        priors = uniform(n)
+        result = optimal_povm_fixed_point(states, priors)
+        g = result.vectors
+        assert np.abs(g @ g.T - np.eye(n)).max() < 1e-12
+        rebuilt = float((priors * np.einsum("ik,ik->k", states, g) ** 2).sum())
+        assert rebuilt == pytest.approx(result.success_probability, abs=1e-12)
 
     def test_dense_core_runs_one_eigh_per_step(self, eigh_calls):
         # the square-root-measurement seed and every iteration are one step
