@@ -15,11 +15,11 @@ closed-form spectrum of W = G/n gives tr sqrt(W) and lambda_max, and the
 chain kernel ``gram._chain_root_diagonal`` at w = 1/n gives diag sqrt(W).
 The fixed point exists once too, in ``_fixed_point``, which needs only G
 and the priors and reads only diag(M^{1/2}) per step.  On the change-point
-Gram matrix with every prior positive, a step is the chain kernel, O(n N)
-with no eigendecomposition: the chain core.  Any other G, zero priors
-included, takes one n x n LAPACK eigendecomposition per step: the dense
-core.  ``optimal_povm_fixed_point`` forms G = S^T S for it; the POVM
-vectors are built, with one thin SVD, only when first read.
+Gram matrix with every positive prior at least 1e-200, a step is the chain
+kernel, O(n N) with no eigendecomposition: the chain core.  Any other G
+takes one n x n LAPACK eigendecomposition per step: the dense core.
+``optimal_povm_fixed_point`` forms G = S^T S for it; the POVM vectors are
+built, with one thin SVD, only when first read.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ __all__ = [
 _PRIOR_TOL = 1e-12
 _RANK_TOL = 1e-12
 # The chain kernel scales the weights to max 1 and needs its upper spectral
-# bound (1+c)/((1-c) min w) finite.  Steering weights stay within a factor
-# ((1+c)/(1-c))^{+-1} of the priors, so with every prior at least this the
-# bound is below ((1+c)/(1-c))^3 max p / min p < 1e250 for every c < 1.
+# bound (1+c)/((1-c) min w) finite, min over w > 0.  Steering weights stay
+# within ((1+c)/(1-c))^{+-1} of the priors, so with every positive prior at
+# least this the bound is below ((1+c)/(1-c))^3 max p / min p < 1e250 for c < 1.
 _CHAIN_MIN_PRIOR = 1e-200
 
 
@@ -94,9 +94,9 @@ class PovmSolverResult:
     @cached_property
     def vectors(self) -> np.ndarray:
         """g = B M^{-1/2} = U V^T for B = S diag(sqrt w) = U diag(s) V^T and
-        M = B^T B; directions with s^2 below 1e-12 of the largest are cut."""
+        M = B^T B; directions with s below 1e-12 of the largest are cut."""
         u, s, vt = np.linalg.svd(self._states * np.sqrt(self._weights), full_matrices=False)
-        keep = s * s > _RANK_TOL * np.max(s, initial=0.0) ** 2
+        keep = s > _RANK_TOL * np.max(s, initial=0.0)
         return u[:, keep] @ vt[keep]
 
 
@@ -213,11 +213,10 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
 
     A step reads only diag(M^{1/2}), M = sqrt(w_i) G_ij sqrt(w_j).  On the
     change-point chain (n >= 2, c = G[0, 1] in [0, 1) and G within 1e-12 of
-    max|G| of build_gram(n, c)) with every prior positive (at least 1e-200),
-    the steering weights stay positive and ``gram._chain_root_diagonal``
-    gives it.  Any other G or priors, zero priors included, take one eigh
-    of M per step, with the directions below 1e-12 of its top eigenvalue
-    pseudo-inverted away.
+    max|G| of build_gram(n, c)) with every positive prior at least 1e-200,
+    ``gram._chain_root_diagonal`` gives it.  Any other G, n = 1 or a positive
+    prior below 1e-200 takes one eigh of M per step, with the directions
+    below 1e-12 of its top eigenvalue pseudo-inverted away.
     Returns (value, iterations, converged, weights), the last being the
     steering weights of the returned iterate.
     """
@@ -228,16 +227,17 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = gram.shape[0]
     c = float(gram[0, 1]) if n >= 2 else math.nan
-    if (0.0 <= c < 1.0 and priors.min() >= _CHAIN_MIN_PRIOR
-            and np.abs(gram - build_gram(n, c)).max() <= _RANK_TOL * np.abs(gram).max()):
-        def overlaps_at(weights: np.ndarray) -> np.ndarray:
-            return _chain_root_diagonal(weights, c) / np.sqrt(weights)
-    else:
-        def overlaps_at(weights: np.ndarray) -> np.ndarray:
-            root_w = np.sqrt(weights)
+    on_chain = (0.0 <= c < 1.0 and np.min(priors, where=priors > 0.0, initial=1.0) >= _CHAIN_MIN_PRIOR
+                and np.abs(gram - build_gram(n, c)).max() <= _RANK_TOL * np.abs(gram).max())
+
+    def overlaps_at(weights: np.ndarray) -> np.ndarray:
+        root_w = np.sqrt(weights)
+        if on_chain:
+            diagonal = _chain_root_diagonal(weights, c)
+        else:
             vals, vecs = np.linalg.eigh(root_w[:, np.newaxis] * gram * root_w)
-            root_vals = np.sqrt(np.where(vals > _RANK_TOL * max(vals[-1], 0.0), vals, 0.0))
-            return np.divide((vecs**2) @ root_vals, root_w, out=np.zeros(n), where=root_w > 0.0)
+            diagonal = (vecs**2) @ np.sqrt(np.where(vals > _RANK_TOL * max(vals[-1], 0.0), vals, 0.0))
+        return np.divide(diagonal, root_w, out=np.zeros(n), where=weights > 0.0)
 
     # square root measurement: steering weights equal to the priors
     weights = priors
@@ -287,9 +287,8 @@ def optimal_povm_fixed_point(
     with g = B M^{-1/2}, and <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k), so a step
     reads only diag(M^{1/2}).  When G = S^T S is the change-point Gram matrix
     (n >= 2, c = G[0, 1] in [0, 1), G within 1e-12 of max|G| of c^|i-j|) and
-    every prior is positive (at least 1e-200), a step is the O(n N) chain
-    kernel and no eigendecomposition; otherwise it is one n x n
-    eigendecomposition of M.
+    every positive prior is at least 1e-200, a step is the O(n N) chain kernel
+    and no eigendecomposition; otherwise it is one n x n eigendecomposition of M.
     The vectors g are formed when first read, from one thin SVD of B at the
     returned steering weights: g = U V^T for B = U diag(s) V^T.
     """

@@ -8,7 +8,7 @@ bisected at once to full float precision, in a form of the phase equation
 that keeps relative precision as c -> 1.  The eigenvectors are sines with a
 closed-form norm, so a caller builds only the rows it reads; the full
 matrix is formed on first use.  The collective figures of the chain read
-only the diagonal of a square root, diag((D G D)^{1/2}) for a positive
+only the diagonal of a square root, diag((D G D)^{1/2}) for a nonnegative
 diagonal D; ``_chain_root_diagonal`` gives it in O(n N) from the
 tridiagonal inverse of G and an N-node quadrature (``_sqrt_rule``), with
 no n x n array.  The full root, ``_symmetric_root`` (V diag(sqrt(lambda))
@@ -225,18 +225,19 @@ def _sqrt_rule(low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
 def _chain_root_diagonal(weights: np.ndarray, c: float) -> np.ndarray:
     """diag(M^{1/2}) for M = D G D, G = build_gram(n, c), D = diag(sqrt(weights)).
 
-    Every weight must be > 0, and ((1+c)/(1-c))^2 max w / min w finite.
-    G^{-1} (1 - c^2) = c L + E, with L the path
-    Laplacian and E = diag(1-c, (1-c)^2, ..., (1-c)^2, 1-c), so
-    (M^{-1} + s)^{-1} = (1 - c^2) D A_s^{-1} D with the tridiagonal
-    A_s = c L + Delta_s, Delta_s = E + s (1 - c^2) W.  Forward pivots
-    f_i = Delta_i + c f_{i-1} / (c + f_{i-1}) and the same run backward give
-    1 / (A_s^{-1})_ii as Delta_i plus what each side passes on, without one
-    subtraction, so the diagonal keeps its relative precision up to c one
-    ulp below 1.  M^{1/2} = (2/pi) int_0^inf (M^{-1} + t^2)^{-1} dt is then
-    summed over the nodes of ``_sqrt_rule`` on the spectrum bounds of M^{-1},
-    (1-c)/((1+c) max w) and (1+c)/((1-c) min w).  Both sweeps run together,
-    one Python step per index over all nodes: O(n N) time and memory.
+    Every weight must be >= 0, and ((1+c)/(1-c))^2 max w / min w finite for
+    the least positive w.  G^{-1} (1 - c^2) = c L + E, with L the path
+    Laplacian and E = diag(1-c, (1-c)^2, ..., (1-c)^2, 1-c), so by
+    push-through, even for a singular D, M (1 + s M)^{-1} = (1 - c^2) D A_s^{-1} D
+    with the tridiagonal A_s = c L + Delta_s, Delta_s = E + s (1 - c^2) W.
+    Forward pivots f_i = Delta_i + c f_{i-1} / (c + f_{i-1}) and the same
+    run backward give 1 / (A_s^{-1})_ii as Delta_i plus what each side
+    passes on, without one subtraction, so the diagonal keeps its relative
+    precision up to c one ulp below 1, and is exactly 0 at zero weight.
+    M^{1/2} = (2/pi) int_0^inf M (1 + t^2 M)^{-1} dt is then summed over the
+    nodes of ``_sqrt_rule`` on (1-c)/((1+c) max w) and (1+c)/((1-c) min w),
+    which bound M's inverse nonzero spectrum by interlacing.  Both sweeps run
+    together, one Python step per index over all nodes: O(n N) time and memory.
     """
     n = weights.size
     if n == 1 or c == 0.0:
@@ -244,7 +245,7 @@ def _chain_root_diagonal(weights: np.ndarray, c: float) -> np.ndarray:
     scale = weights.max()  # diag(M^{1/2}) is homogeneous of degree 1/2 in the weights
     w = weights / scale
     ratio = (1.0 - c) / (1.0 + c)
-    nodes, node_weights = _sqrt_rule(ratio, 1.0 / (ratio * w.min()))
+    nodes, node_weights = _sqrt_rule(ratio, 1.0 / (ratio * np.min(w, where=w > 0.0, initial=1.0)))
     ends = np.full(n, (1.0 - c) ** 2)
     ends[0] = ends[-1] = 1.0 - c
     delta = ends[:, np.newaxis] + ((1.0 - c) * (1.0 + c) * w)[:, np.newaxis] * nodes

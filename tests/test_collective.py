@@ -362,10 +362,12 @@ class TestFixedPointSolver:
         assert result.vectors is vectors
         assert eigh_calls == [] and svd_calls == [(n, n)]
 
-    @pytest.mark.parametrize("n, c2", [(3, 1 - 1e-10), (10, 0.999999), (50, 0.99)])
+    @pytest.mark.parametrize("n, c2", [(3, 1 - 1e-10), (10, 0.999999), (50, 0.99),
+                                       (3, 0.9999999999999999), (10, 0.9999999999999999)])
     def test_vectors_near_c_one_resolve_identity(self, n, c2):
         # squaring B into M = B^T B and pseudo-inverting its root left the
-        # elements summing to I only to 3.3e-6 at (3, 1 - 1e-10)
+        # elements summing to I only to 3.3e-6 at (3, 1 - 1e-10); a cut on s^2
+        # instead of s dropped two of three directions at c one ulp below 1
         states = gram_schmidt_factor(n, math.sqrt(c2))
         priors = uniform(n)
         result = optimal_povm_fixed_point(states, priors)
@@ -388,14 +390,29 @@ class TestFixedPointSolver:
         # reversal-symmetric, which an earlier solver split into halves
         [0.2, 0.0, 0.3, 0.3, 0.0, 0.2],
     ])
-    def test_zero_priors_on_the_chain_take_the_dense_core(self, eigh_calls, priors):
+    def test_zero_priors_on_the_chain_take_the_chain_core(self, eigh_calls, priors):
         priors = np.array(priors)
         n = priors.size
         states = embed_states(build_gram(n, 0.6))
         eigh_calls.clear()
-        result = optimal_povm_fixed_point(states, priors)
-        assert eigh_calls == [n] * (result.iterations + 1)
+        optimal_povm_fixed_point(states, priors)
+        assert eigh_calls == []
         assert_matches_state_space_reference(states, priors)
+
+    @pytest.mark.parametrize("c2", [0.5, 0.99, 1 - 1e-10, 0.9999999999999999])
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    def test_endpoint_priors_reach_helstrom(self, n, c2):
+        # only the two end states carry weight, and their overlap is
+        # c^(n-1); at c one ulp below 1 a dense core read exactly 1/2, whose
+        # 1e-12 cut dropped the second direction, and at (3, 1 - 1e-10) it
+        # ended unconverged
+        c = math.sqrt(c2)
+        priors = np.zeros(n)
+        priors[[0, -1]] = 0.5
+        result = optimal_povm_fixed_point(gram_schmidt_factor(n, c), priors)
+        distinct = -math.expm1(2 * (n - 1) * math.log1p(c - 1.0))
+        assert result.converged
+        assert result.success_probability == pytest.approx(0.5 * (1 + math.sqrt(distinct)), abs=1e-12)
 
     def test_zero_prior_gives_zero_element(self):
         states = embed_states(build_gram(4, 0.6))

@@ -292,6 +292,13 @@ class TestChainRootDiagonal:
         by_eigh = (vectors**2) @ np.sqrt(values)
         assert np.abs(diagonal - by_eigh).max() <= 1e-12 * math.sqrt(values.max())
         assert np.abs(diagonal / jacobi_svd_root_diagonal(weights, c) - 1.0).max() <= 1e-12
+        # every third weight zero: the kernel runs on the support alone
+        weights[::3] = 0.0
+        diagonal = gram._chain_root_diagonal(weights, c)
+        support = weights > 0.0
+        oracle = jacobi_svd_root_diagonal(weights, c)
+        assert np.abs(diagonal[support] / oracle[support] - 1.0).max() <= 1e-12
+        assert (diagonal[~support] == 0.0).all()
 
     def test_single_state_and_orthogonal_states(self):
         weights = np.array([0.1, 0.2, 0.3, 0.4])
