@@ -16,7 +16,10 @@ chain kernel ``gram._chain_root_diagonal`` at w = 1/n gives diag sqrt(W).
 The fixed point exists once too, in ``_fixed_point``, which needs only G
 and the priors and reads only diag(M^{1/2}) per step.  On the change-point
 Gram matrix with every positive prior at least 1e-200, a step is the chain
-kernel, O(n N) with no eigendecomposition: the chain core.  Any other G
+kernel, O(n N) with no eigendecomposition: the chain core.  G is recognised
+by comparing it with a strided view of c^|i-j| (``gram._gram_view``) a few
+rows at a time, with no n x n temporary; ``collective_summary``'s factor
+is the upper triangle of the same view.  Any other G
 takes one n x n LAPACK eigendecomposition per step: the dense core.
 ``optimal_povm_fixed_point`` forms G = S^T S for it; the POVM vectors are
 built, with one thin SVD, only when first read.
@@ -30,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gram import (DegenerateEnsembleError, _chain_root_diagonal, _integer, _symmetric_matrix,
-                   _symmetric_root, build_gram, solve_spectrum, sqrt_trace_limit)
+from .gram import (DegenerateEnsembleError, _chain_root_diagonal, _gram_view, _integer,
+                   _symmetric_matrix, _symmetric_root, solve_spectrum, sqrt_trace_limit)
 
 __all__ = [
     "WeightedGram",
@@ -54,6 +57,8 @@ _RANK_TOL = 1e-12
 # within ((1+c)/(1-c))^{+-1} of the priors, so with every positive prior at
 # least this the bound is below ((1+c)/(1-c))^3 max p / min p < 1e250 for c < 1.
 _CHAIN_MIN_PRIOR = 1e-200
+# Entries per row block of the chain test: its temporaries stay near 256 KB.
+_CHAIN_TEST_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -208,15 +213,33 @@ def embed_states(gram: np.ndarray) -> np.ndarray:
     return embedded.sqrt_matrix
 
 
+def _on_chain(gram: np.ndarray, c: float) -> bool:
+    """Whether gram is within 1e-12 of max|gram| of c^|i-j| everywhere.
+
+    It is compared with the strided view of c^|i-j| a few rows at a time,
+    so no n x n temporary is formed.
+    """
+    n = gram.shape[0]
+    chain = _gram_view(n, c)
+    limit = _RANK_TOL * np.maximum(gram.max(), -gram.min())
+    rows = max(1, _CHAIN_TEST_BLOCK // n)
+    for start in range(0, n, rows):
+        block = gram[start:start + rows] - chain[start:start + rows]
+        if not np.abs(block, out=block).max() <= limit:
+            return False
+    return True
+
+
 def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int):
     """The fixed-point iteration on the Gram matrix alone; see optimal_povm_fixed_point.
 
     A step reads only diag(M^{1/2}), M = sqrt(w_i) G_ij sqrt(w_j).  On the
     change-point chain (n >= 2, c = G[0, 1] in [0, 1) and G within 1e-12 of
-    max|G| of build_gram(n, c)) with every positive prior at least 1e-200,
-    ``gram._chain_root_diagonal`` gives it.  Any other G, n = 1 or a positive
-    prior below 1e-200 takes one eigh of M per step, with the directions
-    below 1e-12 of its top eigenvalue pseudo-inverted away.
+    max|G| of c^|i-j|, checked by ``_on_chain`` in row blocks) with every
+    positive prior at least 1e-200, ``gram._chain_root_diagonal`` gives it.
+    Any other G, n = 1 or a positive prior below 1e-200 takes one eigh of M
+    per step, with the directions below 1e-12 of its top eigenvalue
+    pseudo-inverted away.
     Returns (value, iterations, converged, weights), the last being the
     steering weights of the returned iterate.
     """
@@ -228,7 +251,7 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
     n = gram.shape[0]
     c = float(gram[0, 1]) if n >= 2 else math.nan
     on_chain = (0.0 <= c < 1.0 and np.min(priors, where=priors > 0.0, initial=1.0) >= _CHAIN_MIN_PRIOR
-                and np.abs(gram - build_gram(n, c)).max() <= _RANK_TOL * np.abs(gram).max())
+                and _on_chain(gram, c))
 
     def overlaps_at(weights: np.ndarray) -> np.ndarray:
         root_w = np.sqrt(weights)
@@ -324,7 +347,7 @@ def collective_summary(
                                 _chain_root_diagonal(uniform, c), float(spectrum.lambdas.max()) / n)
     # the public solver on R, not _fixed_point on G: perfbench/selftest.py
     # counts one traced optimal_povm_fixed_point call per sweep point
-    factor = np.triu(build_gram(n, c))
+    factor = np.triu(_gram_view(n, c))
     factor[1:] *= math.sqrt((1.0 - c) * (1.0 + c))
     result = optimal_povm_fixed_point(factor, uniform, tol=tol, max_iter=max_iter)
     return CollectiveSummary(

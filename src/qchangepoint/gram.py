@@ -120,15 +120,21 @@ def _symmetric_matrix(matrix) -> np.ndarray:
     return a
 
 
+def _gram_view(n: int, c: float) -> np.ndarray:
+    """G_ij = c^{|i-j|} as a read-only strided view of 2n - 1 powers: row i
+    is the length-n window of (c^{n-1}, ..., c, 1, c, ..., c^{n-1}) that
+    starts at n-1-i.  n and c are not checked."""
+    powers = c ** np.arange(n, dtype=float)
+    return sliding_window_view(np.concatenate((powers[:0:-1], powers)), n)[::-1]
+
+
 def build_gram(n: int, c: float) -> np.ndarray:
     """Toeplitz Gram matrix G_ij = c^{|i-j|} of the n source states.
 
-    Row i is the length-n window of (c^{n-1}, ..., c, 1, c, ..., c^{n-1})
-    that starts at n-1-i, copied out of one strided view.
+    The matrix is copied out of one strided view of 2n - 1 powers of c.
     """
     n = _check_overlap(c, n)
-    powers = c ** np.arange(n, dtype=float)
-    return sliding_window_view(np.concatenate((powers[:0:-1], powers)), n)[::-1].copy()
+    return _gram_view(n, c).copy()
 
 
 def solve_spectrum(n: int, c: float) -> GramSpectrum:

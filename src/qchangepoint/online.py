@@ -14,11 +14,14 @@ greedy step, _greedy_click_probabilities, built from helstrom_measurement
 and nothing the engine uses.  simulate_greedy_trial replays a trial with it
 and exact_greedy_enumeration walks both of its outcomes; the engine is
 tested against both.  simulate_basic_local is the first-click policy's
-scalar trial, kept beside it for the same check.  iter_trial_records reads
-each chunk's outcome buffer in place, so the records hold no more memory
-than monte_carlo.  The (n, c) rule is gram's _check_overlap, and trials,
-base_seed and a replay's true_k pass its _integer check.  A posterior
-left with no mass after a sampled outcome raises ImpossibleOutcomeError.
+scalar trial, kept beside it for the same check.  Trials run in
+ceil(trials / 16384) chunks of nearly equal size, and a chunk of m trials
+holds a few length-m arrays; only iter_trial_records asks the engine for
+the chunk's (m x n) outcome bytes, and reads them in place.  No chunk's
+arrays stay alive while the next one runs.  The (n, c) rule is gram's
+_check_overlap, and trials, base_seed and a replay's true_k pass its
+_integer check.  A posterior left with no mass after a sampled outcome
+raises ImpossibleOutcomeError.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ __all__ = [
 ]
 
 _ENUMERATION_MAX_N = 12
-_CHUNK_SIZE = 32768
+_CHUNK_SIZE = 16384
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -236,17 +239,18 @@ def _outcome_phi_likelihoods(p0, c: float):
     return a, b
 
 
-def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods):
+def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods, record: bool):
     # All k >= s have seen identical factors and all k < s share each step's,
     # so (tail of k >= s, best of k < s, its index) suffices.  Both are divided
     # by their maximum after every step, so the larger is exactly 1.0 and the
-    # step depends on the tail weight p0 alone.
+    # step depends on the tail weight p0 alone.  The (m x n) outcome bytes are
+    # kept only when record is set; otherwise the third result is None.
     m = seeds.shape[0]
     true_k = _draw_true_k(n, seeds)
     tail = np.ones(m)
     best = np.zeros(m)
     best_idx = np.zeros(m, dtype=np.int64)
-    outcomes = np.empty((m, n), dtype=np.uint8)
+    outcomes = np.empty((m, n), dtype=np.uint8) if record else None
     for s in range(1, n + 1):
         # strict: ties keep the smaller index, like argmax.  best_idx <= s - 1
         # here and never decreases, so the maximum writes s exactly where
@@ -264,11 +268,12 @@ def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods):
                 f"posterior has zero or undefined mass after the outcome sampled at step {s}")
         best /= scale
         tail /= scale
-        outcomes[:, s - 1] = clicked
+        if record:
+            outcomes[:, s - 1] = clicked
     return true_k, best_idx, outcomes
 
 
-def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int):
+def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int, record: bool):
     if strategy not in ("basic", "greedy"):
         raise ValueError(f"strategy must be one of ['basic', 'greedy'], got {strategy!r}")
     trials = _integer("trials", trials)
@@ -280,11 +285,14 @@ def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int
     _check_overlap(c, n)
     # looked up per call, not bound at import, so a patched kernel takes effect
     likelihoods = _outcome_phi_likelihoods if strategy == "greedy" else _basic_likelihoods
-    for start in range(0, trials, _CHUNK_SIZE):
-        idx = np.arange(start, min(start + _CHUNK_SIZE, trials), dtype=np.uint64)
-        seeds = trial_seed_array(base_seed, idx)
-        true_k, guess, outcomes = _simulate_chunk(n, c, seeds, likelihoods)
-        yield seeds, true_k, guess, outcomes
+    # ceil(trials / _CHUNK_SIZE) chunks whose sizes differ by at most one, so
+    # no chunk is a small remainder; only seeds is bound here, and it is
+    # rebound before the next chunk runs
+    count = -(-trials // _CHUNK_SIZE)
+    for k in range(count):
+        seeds = trial_seed_array(
+            base_seed, np.arange(trials * k // count, trials * (k + 1) // count, dtype=np.uint64))
+        yield (seeds, *_simulate_chunk(n, c, seeds, likelihoods, record))
 
 
 def _binomial_estimate(successes: int, trials: int) -> tuple[float, float]:
@@ -309,8 +317,9 @@ def monte_carlo(
     Returns the success fraction and its binomial standard error.
     """
     successes = 0
-    for _, true_k, guess, _ in _chunked_trials(strategy, n, c, trials, base_seed):
+    for _, true_k, guess, _ in _chunked_trials(strategy, n, c, trials, base_seed, record=False):
         successes += int((guess == true_k).sum())
+        del true_k, guess  # not alive while the next chunk runs
     return _binomial_estimate(successes, trials)
 
 
@@ -322,10 +331,10 @@ def iter_trial_records(
     base_seed: int,
 ) -> Iterator[TrialRecord]:
     """Per-trial records from the same engine and stream as monte_carlo."""
-    for seeds, true_k, guess, outcomes in _chunked_trials(strategy, n, c, trials, base_seed):
-        # the chunk's buffer is fresh and read by nothing else, so it turns
-        # into ASCII '0'/'1' in place: one n-byte string per trial, decoded
-        # only as its record is taken
+    for seeds, true_k, guess, outcomes in _chunked_trials(strategy, n, c, trials, base_seed, record=True):
+        # the chunk's buffer (16384 n bytes at most) is fresh and read by
+        # nothing else, so it turns into ASCII '0'/'1' in place: one n-byte
+        # string per trial, decoded only as its record is taken
         outcomes += ord("0")
         yield from map(TrialRecord._make, zip(
             true_k.tolist(),
@@ -334,3 +343,5 @@ def iter_trial_records(
             (guess == true_k).tolist(),
             seeds.tolist(),
         ))
+        # the loop names would keep this chunk alive while the next one runs
+        del seeds, true_k, guess, outcomes

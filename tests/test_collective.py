@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import qchangepoint.collective as collective_module
 from qchangepoint.collective import (
     asymptotic_pmax,
     collective_summary,
@@ -439,6 +440,32 @@ class TestFixedPointSolver:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+    def test_chain_test_forms_no_n_by_n_temporary(self):
+        # comparing G with a full build_gram(n, c) peaked at 64 MB at n = 2000;
+        # the chain kernel itself needs about 2 MB
+        gram = build_gram(2000, math.sqrt(0.9))
+        tracemalloc.start()
+        try:
+            _, _, converged, _ = collective_module._fixed_point(gram, uniform(2000), 1e-10, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert converged
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("row", [0, 5, 9])
+    @pytest.mark.parametrize("departure, chain", [(0.5e-12, True), (2e-12, False)])
+    def test_chain_test_reads_every_row_block(self, monkeypatch, eigh_calls, row, departure, chain):
+        # blocks of 4 rows at n = 10: a departure from c^|i-j| decides the
+        # core wherever it lies, against 1e-12 of max|G|
+        monkeypatch.setattr(collective_module, "_CHAIN_TEST_BLOCK", 40)
+        gram = build_gram(10, 0.6)
+        column = 3 if row != 3 else 4
+        gram[row, column] += departure
+        gram[column, row] += departure
+        collective_module._fixed_point(gram, uniform(10), 1e-10, 10_000)
+        assert (eigh_calls == []) == chain
 
     def test_tol_validation(self):
         with pytest.raises(ValueError):

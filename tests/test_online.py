@@ -18,7 +18,7 @@ from qchangepoint.online import (
     simulate_basic_local,
     simulate_greedy_trial,
 )
-from qchangepoint.rng import CounterRng, trial_seed
+from qchangepoint.rng import CounterRng, trial_seed, trial_seed_array
 
 
 class FixedRng:
@@ -284,6 +284,31 @@ class TestMonteCarloHarness:
         assert (run(37, "greedy", 50, 0.6, 500, 5, records=True)
                 == run(4096, "greedy", 50, 0.6, 500, 5, records=True))
 
+    def test_chunks_split_evenly(self, monkeypatch):
+        # ceil(trials / _CHUNK_SIZE) chunks whose sizes differ by at most one,
+        # run in trial order; a 10^4-trial figure point stays one chunk
+        chunks = []
+        simulate = online_module._simulate_chunk
+
+        def recording_chunk(n, c, seeds, likelihoods, record):
+            chunks.append(seeds.copy())
+            return simulate(n, c, seeds, likelihoods, record)
+
+        monkeypatch.setattr(online_module, "_simulate_chunk", recording_chunk)
+        for trials, sizes in ((10000, [10000]), (16384, [16384]), (16385, [8192, 8193])):
+            chunks.clear()
+            monte_carlo("basic", 3, 0.6, trials, 4)
+            assert [chunk.size for chunk in chunks] == sizes
+        monkeypatch.setattr(online_module, "_CHUNK_SIZE", 37)
+        for run in (lambda: monte_carlo("greedy", 4, 0.6, 2001, 4),
+                    lambda: list(iter_trial_records("greedy", 4, 0.6, 2001, 4))):
+            chunks.clear()
+            run()
+            sizes = [chunk.size for chunk in chunks]
+            assert len(sizes) == 55 and max(sizes) - min(sizes) <= 1
+            np.testing.assert_array_equal(np.concatenate(chunks),
+                                          trial_seed_array(4, np.arange(2001)))
+
     def test_records_match_scalar_simulators(self):
         # the vectorized engine and the step-by-step scalar ops follow the
         # same counter-based stream, so whole trials coincide; the greedy
@@ -374,6 +399,31 @@ class TestMonteCarloHarness:
             tracemalloc.stop()
         assert 0 < successes < 2000
         assert peak < 10e6
+
+    def test_basic_memory_over_two_chunks_at_n_2000(self):
+        # without records no (trials x n) outcome buffer is kept: the (16384
+        # x n) one a chunk held read 68.5 MB traced over 32768 trials
+        tracemalloc.start()
+        try:
+            estimate, _ = monte_carlo("basic", 2000, math.sqrt(0.5), 32768, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < estimate < 1.0
+        assert peak < 4e6
+
+    def test_basic_records_memory_over_two_chunks_at_n_2000(self):
+        # one 16384 x 2000-byte chunk buffer (33 MB) is alive at a time: it is
+        # released before the next chunk runs
+        tracemalloc.start()
+        try:
+            records = iter_trial_records("basic", 2000, math.sqrt(0.5), 32768, 5)
+            successes = sum(r.success for r in records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < successes < 32768
+        assert peak < 45e6
 
     @pytest.mark.parametrize("strategy", ["basic", "greedy"])
     def test_trials_and_seed_must_be_integers(self, strategy):
