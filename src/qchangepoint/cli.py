@@ -41,7 +41,7 @@ import numpy as np
 
 from .collective import collective_summary
 from .gram import diag_deviation_asymptotic, solve_spectrum, sqrt_trace_limit
-from .online import _binomial_estimate, basic_local_closed_form, iter_trial_records, monte_carlo
+from .online import _STRATEGIES, _binomial_estimate, basic_local_closed_form, iter_trial_records, monte_carlo
 
 __all__ = ["ConfigError", "main", "entrypoint",
            "run_sweep", "run_spectrum_dump", "run_montecarlo"]
@@ -322,8 +322,8 @@ def _spectrum_config(raw: dict[str, str]) -> tuple[dict, int, float, int]:
 def _montecarlo_config(raw: dict[str, str]) -> tuple[dict, str, list, int]:
     settings = _common_settings(raw)
     strategy = raw.get("strategy")
-    if strategy not in ("basic", "greedy"):
-        raise ConfigError(f"strategy must be basic or greedy, got {strategy!r}")
+    if strategy not in _STRATEGIES:
+        raise ConfigError(f"strategy must be {' or '.join(_STRATEGIES)}, got {strategy!r}")
     points = _grid_points(raw)
     out, records = settings["out"], raw.get("records")
     if out is not None and records is not None and Path(out).resolve() == Path(records).resolve():
@@ -442,7 +442,7 @@ _SUBCOMMANDS = {
         _spectrum_config, "run_spectrum_dump", SPECTRUM_COLUMNS),
     "montecarlo": _Subcommand(
         "online-strategy Monte Carlo estimates",
-        {**_COMMON, **_SEED, "strategy": "basic or greedy", **_GRID,
+        {**_COMMON, **_SEED, "strategy": " or ".join(_STRATEGIES), **_GRID,
          "trials": "trials per grid point",
          "records": "optional JSONL path for per-trial records"},
         _montecarlo_config, "run_montecarlo", MONTECARLO_COLUMNS),

@@ -3,9 +3,9 @@
 Prior-weighted Gram matrix, the trace-square-root lower/upper bounds on the
 optimal identification probability, the square-root-measurement value, the
 closed-form large-n asymptote (gram.sqrt_trace_limit squared), and a
-fixed-point solver for the optimal POVM.
-The solver stops when its gain falls below a tolerance; it is not monotone,
-and a step that lowers the value ends it unconverged at the best iterate.
+fixed-point solver for the optimal POVM: the Jezek-Rehacek-Fiurasek step
+for pure states, which stops when its gain falls below a tolerance; a step
+that lowers the value ends it unconverged at the best iterate.
 
 The bounds exist once, in ``_bounds``, which reads only tr sqrt(W),
 diag sqrt(W) and lambda_max.  ``weighted_gram`` and ``embed_states`` build
@@ -15,7 +15,7 @@ closed-form spectrum of W = G/n gives tr sqrt(W) and lambda_max, and the
 chain kernel ``gram._chain_root_diagonal`` at w = 1/n gives diag sqrt(W).
 The fixed point exists once too, in ``_fixed_point``, which needs only G
 and the priors and reads only diag(M^{1/2}) per step.  On the change-point
-Gram matrix with every positive prior at least 1e-200, a step is the chain
+Gram matrix with every positive prior at least 1e-100, a step is the chain
 kernel, O(n N) with no eigendecomposition: the chain core.  G is recognised
 by comparing it with a strided view of c^|i-j| (``gram._gram_view``) a few
 rows at a time, with no n x n temporary; ``collective_summary``'s factor
@@ -53,10 +53,11 @@ __all__ = [
 _PRIOR_TOL = 1e-12
 _RANK_TOL = 1e-12
 # The chain kernel scales the weights to max 1 and needs its upper spectral
-# bound (1+c)/((1-c) min w) finite, min over w > 0.  Steering weights stay
-# within ((1+c)/(1-c))^{+-1} of the priors, so with every positive prior at
-# least this the bound is below ((1+c)/(1-c))^3 max p / min p < 1e250 for c < 1.
-_CHAIN_MIN_PRIOR = 1e-200
+# bound (1+c)/((1-c) min w) finite, min over w > 0.  Steering weights p^2 o^2
+# have o^2 within ((1+c)/(1-c))^{+-1}, so with every positive prior at least
+# this no weight underflows and the bound is below
+# ((1+c)/(1-c))^3 (max p / min p)^2 < 6e48 * 1e200 for c < 1.
+_CHAIN_MIN_PRIOR = 1e-100
 # Entries per row block of the chain test: its temporaries stay near 256 KB.
 _CHAIN_TEST_BLOCK = 1 << 15
 
@@ -236,8 +237,8 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
     A step reads only diag(M^{1/2}), M = sqrt(w_i) G_ij sqrt(w_j).  On the
     change-point chain (n >= 2, c = G[0, 1] in [0, 1) and G within 1e-12 of
     max|G| of c^|i-j|, checked by ``_on_chain`` in row blocks) with every
-    positive prior at least 1e-200, ``gram._chain_root_diagonal`` gives it.
-    Any other G, n = 1 or a positive prior below 1e-200 takes one eigh of M
+    positive prior at least 1e-100, ``gram._chain_root_diagonal`` gives it.
+    Any other G, n = 1 or a positive prior below 1e-100 takes one eigh of M
     per step, with the directions below 1e-12 of its top eigenvalue
     pseudo-inverted away.
     Returns (value, iterations, converged, weights), the last being the
@@ -271,7 +272,8 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        weights = priors * overlaps**2
+        weights = (priors * overlaps) ** 2
+        weights /= weights.max()
         overlaps = overlaps_at(weights)
         new_success = float((priors * overlaps**2).sum())
         gain = new_success - success
@@ -294,34 +296,38 @@ def optimal_povm_fixed_point(
 ) -> PovmSolverResult:
     """Fixed-point iteration for the minimum-error POVM; it stops on small gain.
 
-    Seeds with the square root measurement, then repeatedly conjugates each
-    element by the inverse square root of sum_j p_j <psi_j|E_j|psi_j>
-    |psi_j><psi_j|, the classical steering map whose fixed points satisfy the
-    optimality conditions.  The loop stops once the per-iteration gain drops
-    below tol; a step that lowers the success probability by more than 1e-12
+    Seeds with the square root measurement, then repeatedly sets each
+    element to w_k R^{-1} |psi_k><psi_k| R^{-1}, with steering weights
+    w_k = p_k^2 <psi_k|E_k|psi_k> and R^2 = sum_j w_j |psi_j><psi_j|: the
+    Jezek-Rehacek-Fiurasek step for pure states.  The loop stops once the
+    gain drops below tol; a step that lowers the value by more than 1e-12
     ends it with converged=False and the best iterate returned.  The states
-    must be a finite 2-D array, tol > 0 and max_iter an integer >= 1.  The
-    iteration is not monotone: with priors (0.3, 0, 0.4, 0.3) at n=4, c=0.6
-    the first step lowers the value, so the result is the
-    square-root-measurement value 0.907941693817 after 1 iteration.
+    and their Gram matrix S^T S must be finite, the states 2-D, tol > 0 and
+    max_iter an integer >= 1.  With priors (0.3, 0, 0.4, 0.3) at n=4, c=0.6
+    the value climbs from the square-root measurement's 0.907941693817 to
+    0.908410104217 in 5 iterations.
 
-    The iteration runs in Gram form.  With steering weights w, B = S diag(sqrt w)
-    and M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the elements are E_k = g_k g_k^T
-    with g = B M^{-1/2}, and <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k), so a step
-    reads only diag(M^{1/2}).  When G = S^T S is the change-point Gram matrix
-    (n >= 2, c = G[0, 1] in [0, 1), G within 1e-12 of max|G| of c^|i-j|) and
-    every positive prior is at least 1e-200, a step is the O(n N) chain kernel
-    and no eigendecomposition; otherwise it is one n x n eigendecomposition of M.
+    The iteration runs in Gram form.  With steering weights w, scaled to max
+    1, B = S diag(sqrt w) and M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the
+    elements are E_k = g_k g_k^T with g = B M^{-1/2}, and
+    <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k), so a step reads only
+    diag(M^{1/2}).  When G = S^T S is the change-point Gram matrix (n >= 2,
+    c = G[0, 1] in [0, 1), G within 1e-12 of max|G| of c^|i-j|) and every
+    positive prior is at least 1e-100, a step is the O(n N) chain kernel and
+    no eigendecomposition; otherwise it is one n x n eigendecomposition of M.
     The vectors g are formed when first read, from one thin SVD of B at the
     returned steering weights: g = U V^T for B = U diag(s) V^T.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
         raise ValueError(f"states must be 2-D, one column per state; got shape {states.shape}")
-    if not np.isfinite(states).all():
-        raise ValueError("states must be finite")
     priors = _checked_priors(priors, states.shape[1])
-    success, iterations, converged, weights = _fixed_point(states.T @ states, priors, tol, max_iter)
+    # a NaN or inf state reaches the diagonal of G, so one check covers both
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = states.T @ states
+    if not np.isfinite(gram).all():
+        raise ValueError("states and their Gram matrix S^T S must be finite")
+    success, iterations, converged, weights = _fixed_point(gram, priors, tol, max_iter)
     return PovmSolverResult(success_probability=success, iterations=iterations,
                             converged=converged, _states=states, _weights=weights)
 

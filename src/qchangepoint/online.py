@@ -1,20 +1,17 @@
 """Measure-as-you-go strategies on the qubit sequence.
 
-Two online policies: measure every particle in the computational basis and
-guess the first click (basic local), or run the per-step optimal two-state
-measurement between the default and mutated states with Bayesian posterior
-updates in between (greedy).  A seeded, counter-based Monte Carlo harness
-estimates their success probabilities; for small n an exact walk of the
-binary outcome tree provides the oracle value.  One Monte Carlo loop runs
-both strategies, each given by its per-step click probabilities under the
-default and the mutated particle; it carries the posterior as (tail weight,
-best weight, best index), normalised so the larger weight is 1, so a trial
-costs O(n).  Beside it stands one full-posterior reference: a single
-greedy step, _greedy_click_probabilities, built from helstrom_measurement
-and nothing the engine uses.  simulate_greedy_trial replays a trial with it
-and exact_greedy_enumeration walks both of its outcomes; the engine is
-tested against both.  simulate_basic_local is the first-click policy's
-scalar trial, kept beside it for the same check.  Trials run in
+Two online policies measure particle by particle, update the Bayesian
+posterior and guess its maximum: the computational basis (basic local),
+whose guess is the first click or n, and the optimal two-state measurement
+between the default and mutated states for the current posterior (greedy).
+A strategy is only its per-step click probabilities; _STRATEGIES names
+them.  One seeded, counter-based Monte Carlo loop runs both, carrying the
+posterior as (tail weight, best weight, best index), normalised so the
+larger weight is 1, so a trial costs O(n).  simulate_trial replays a trial
+on the full posterior from per-k click probabilities.  Its greedy step,
+_greedy_click_probabilities, is built from helstrom_measurement and
+nothing the engine uses, and exact_greedy_enumeration walks both of its
+outcomes for small n; the engine is tested against both.  Trials run in
 ceil(trials / 16384) chunks of nearly equal size, and a chunk of m trials
 holds a few length-m arrays; only iter_trial_records asks the engine for
 the chunk's (m x n) outcome bytes, and reads them in place.  No chunk's
@@ -39,14 +36,15 @@ __all__ = [
     "TrialRecord",
     "qubit_pair",
     "basic_local_closed_form",
-    "simulate_basic_local",
     "helstrom_measurement",
-    "simulate_greedy_trial",
+    "simulate_trial",
     "exact_greedy_enumeration",
     "monte_carlo",
     "iter_trial_records",
 ]
 
+# the strategy names, in the order of the per-strategy tuples below
+_STRATEGIES = ("basic", "greedy")
 _ENUMERATION_MAX_N = 12
 _CHUNK_SIZE = 16384
 
@@ -79,25 +77,6 @@ def basic_local_closed_form(n: int, c: float) -> float:
     """Exact success probability 1 - c^2 + c^2/n of the basic local strategy."""
     _check_overlap(c, n)
     return 1.0 - c * c + c * c / n
-
-
-def simulate_basic_local(n: int, c: float, true_k: int, rng: CounterRng) -> TrialRecord:
-    """One trial of the computational-basis strategy.
-
-    Particles before the change always read 0; particles from the change on
-    read 1 with probability 1-c^2.  The guess is the first position that
-    reads 1, or n when nothing fires.
-    """
-    n = _check_overlap(c, n)
-    true_k = _integer("true_k", true_k)
-    if not 1 <= true_k <= n:
-        raise ValueError(f"true_k must lie in [1, {n}], got {true_k}")
-    fire_prob = 1.0 - c * c
-    bits = "".join("1" if j >= true_k and rng.uniform(j) < fire_prob else "0"
-                   for j in range(1, n + 1))
-    guess = bits.find("1") + 1 or n
-    return TrialRecord(true_k=true_k, guess=guess, outcomes=bits,
-                       success=guess == true_k, seed=rng.seed)
 
 
 def helstrom_measurement(p0: float, pphi: float, c: float) -> tuple[np.ndarray, float]:
@@ -148,14 +127,29 @@ def _greedy_click_probabilities(eta: np.ndarray, s: int, c: float) -> np.ndarray
     return np.where(np.arange(n) < s, float(phi @ projector @ phi), float(projector[0, 0]))
 
 
-def simulate_greedy_trial(n: int, c: float, true_k: int, rng: CounterRng) -> TrialRecord:
-    """One trial of the greedy strategy with per-step optimal measurements.
+def _basic_click_probabilities(eta: np.ndarray, s: int, c: float) -> np.ndarray:
+    """Probability of a 1 at step s in the computational basis under every
+    change point (entry k-1): 1 - c^2 for k <= s, 0 where s is still default."""
+    return np.where(np.arange(eta.shape[0]) < s, 1.0 - c * c, 0.0)
 
-    At each step the greedy measurement for the current posterior is
-    applied, the outcome sampled under the true particle state, and the
-    posterior updated by Bayes' rule; the final guess maximizes the
-    posterior (smallest index on ties).
+
+def _strategy(strategy: str) -> int:
+    """The position of strategy in _STRATEGIES; any other name raises ValueError."""
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"strategy must be one of {list(_STRATEGIES)}, got {strategy!r}")
+    return _STRATEGIES.index(strategy)
+
+
+def simulate_trial(strategy: str, n: int, c: float, true_k: int, rng: CounterRng) -> TrialRecord:
+    """One trial of an online strategy, replayed on the full posterior.
+
+    Each step takes the strategy's click probabilities under every change
+    point, samples the outcome under the true one with rng.uniform(step) and
+    updates the posterior by Bayes' rule; the guess is its maximum (smallest
+    index on ties).  For basic the posterior goes as c^(2(f-k)) on k <= f
+    after a first click at f, so the guess is f, or n when nothing clicks.
     """
+    click_probabilities = (_basic_click_probabilities, _greedy_click_probabilities)[_strategy(strategy)]
     n = _check_overlap(c, n)
     true_k = _integer("true_k", true_k)
     if not 1 <= true_k <= n:
@@ -163,7 +157,7 @@ def simulate_greedy_trial(n: int, c: float, true_k: int, rng: CounterRng) -> Tri
     eta = np.full(n, 1.0 / n)
     bits = []
     for s in range(1, n + 1):
-        click = _greedy_click_probabilities(eta, s, c)
+        click = click_probabilities(eta, s, c)
         clicked = rng.uniform(s) < click[true_k - 1]
         bits.append("1" if clicked else "0")
         eta = eta * (click if clicked else 1.0 - click)
@@ -274,8 +268,8 @@ def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods, record: bo
 
 
 def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int, record: bool):
-    if strategy not in ("basic", "greedy"):
-        raise ValueError(f"strategy must be one of ['basic', 'greedy'], got {strategy!r}")
+    # in _STRATEGIES order, looked up per call so that a patched kernel runs
+    likelihoods = (_basic_likelihoods, _outcome_phi_likelihoods)[_strategy(strategy)]
     trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -283,8 +277,6 @@ def _chunked_trials(strategy: str, n: int, c: float, trials: int, base_seed: int
     if not 0 <= base_seed < 1 << 64:
         raise ValueError(f"base_seed must lie in [0, 2^64), got {base_seed}")
     _check_overlap(c, n)
-    # looked up per call, not bound at import, so a patched kernel takes effect
-    likelihoods = _outcome_phi_likelihoods if strategy == "greedy" else _basic_likelihoods
     # ceil(trials / _CHUNK_SIZE) chunks whose sizes differ by at most one, so
     # no chunk is a small remainder; only seeds is bound here, and it is
     # rebound before the next chunk runs

@@ -9,12 +9,17 @@ cannot leak into its own reference value.
   instead.
 * ``integral_i_r`` is the oscillatory integral behind the large-k deviation
   of diag(sqrt G), by adaptive quadrature or by its large-r asymptote.
+* ``yuen_kennedy_lax_bound`` bounds the optimal success probability of a
+  pure-state ensemble from above by a feasible point of the dual, built
+  from a measurement's elements in the dense state space; the library's
+  fixed point works on the Gram matrix and certifies nothing.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 
@@ -65,3 +70,22 @@ def integral_i_r(r: int, c: float, mode: str = "exact") -> float:
         limit=200,
     )
     return value
+
+
+def yuen_kennedy_lax_bound(states: np.ndarray, priors: np.ndarray, vectors: np.ndarray) -> float:
+    """Upper bound on the minimum-error success probability, from a measurement.
+
+    states holds the pure states psi_k as columns, vectors the rank-one
+    elements' g_k (E_k = g_k g_k^T).  Gamma = sym sum_k p_k psi_k psi_k^T E_k,
+    shifted by mu = max(0, -min_k lambda_min(Gamma - p_k psi_k psi_k^T)) times
+    the identity, dominates every p_k psi_k psi_k^T, so it is feasible for the
+    Yuen-Kennedy-Lax dual and no measurement succeeds with more than
+    tr Gamma + d mu, d the dimension.  tr Gamma is the measurement's own
+    success probability, so d mu is its gap.
+    """
+    overlaps = np.einsum("ik,ik->k", states, vectors)
+    gamma = (states * (priors * overlaps)) @ vectors.T
+    gamma = 0.5 * (gamma + gamma.T)
+    lowest = min(np.linalg.eigvalsh(gamma - p * np.outer(psi, psi))[0]
+                 for p, psi in zip(priors, states.T))
+    return float(np.trace(gamma)) + states.shape[0] * max(0.0, -lowest)

@@ -83,11 +83,11 @@ RNG = qchangepoint.CounterRng(1)
     (qchangepoint.diag_deviation_asymptotic, (math.nan, 0.5), TypeError, "k must be an integer"),
     (qchangepoint.diag_deviation_asymptotic, (2.5, 0.5), TypeError, "k must be an integer"),
     (qchangepoint.diag_deviation_asymptotic, (0, 0.5), ValueError, "k must be >= 1"),
-    (qchangepoint.simulate_basic_local, (3, 0.5, 2.5, RNG), TypeError, "true_k must be an integer"),
-    (qchangepoint.simulate_basic_local, (2.5, 0.5, 2, RNG), TypeError, "n must be an integer"),
-    (qchangepoint.simulate_basic_local, (3, 0.5, 4, RNG), ValueError, "true_k must lie in"),
-    (qchangepoint.simulate_greedy_trial, (3, 0.5, 2.5, RNG), TypeError, "true_k must be an"),
-    (qchangepoint.simulate_greedy_trial, (2.5, 0.5, 2, RNG), TypeError, "n must be an integer"),
+    (qchangepoint.simulate_trial, ("basic", 3, 0.5, 2.5, RNG), TypeError, "true_k must be an integer"),
+    (qchangepoint.simulate_trial, ("basic", 2.5, 0.5, 2, RNG), TypeError, "n must be an integer"),
+    (qchangepoint.simulate_trial, ("basic", 3, 0.5, 4, RNG), ValueError, "true_k must lie in"),
+    (qchangepoint.simulate_trial, ("greedy", 3, 0.5, 2.5, RNG), TypeError, "true_k must be an"),
+    (qchangepoint.simulate_trial, ("greedy", 2.5, 0.5, 2, RNG), TypeError, "n must be an integer"),
     (ROWS, (4,), ValueError, "count must lie in"),
     (ROWS, (-1,), ValueError, "count must lie in"),
     (ROWS, (2.0,), TypeError, "count must be an integer"),

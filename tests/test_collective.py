@@ -25,6 +25,7 @@ from qchangepoint.gram import (
     solve_spectrum,
     sqrt_gram,
 )
+from oracles import yuen_kennedy_lax_bound
 from test_gram import gram_schmidt_factor
 
 
@@ -61,7 +62,9 @@ def state_space_fixed_point(states, priors, tol=1e-10, max_iter=10_000):
     value = float((priors * overlaps(g) ** 2).sum())
     best = (value, g)
     for iterations in range(1, max_iter + 1):
-        g = steer(priors * overlaps(g) ** 2)
+        # the Jezek-Rehacek-Fiurasek step: R^2 = sum_k p_k^2 <psi_k|E_k|psi_k> |psi_k><psi_k|
+        weights = (priors * overlaps(g)) ** 2
+        g = steer(weights / weights.max())
         new_value = float((priors * overlaps(g) ** 2).sum())
         gain, value = new_value - value, new_value
         if value > best[0]:
@@ -425,6 +428,42 @@ class TestFixedPointSolver:
         value, _, _, _ = state_space_fixed_point(states, priors)
         assert result.success_probability == pytest.approx(value, abs=1e-12)
 
+    def test_prior_at_the_chain_threshold_keeps_its_element(self, eigh_calls):
+        # the element w_k R^{-1} |psi_k><psi_k| R^{-1} is nonzero exactly when
+        # its steering weight p^2 o^2 is: at the least prior the chain core
+        # takes that must not underflow, as 1e-200, the threshold of p o^2
+        # steering, does when squared
+        n, smallest = 6, collective_module._CHAIN_MIN_PRIOR
+        priors = np.full(n, (1.0 - smallest) / (n - 1))
+        priors[2] = smallest
+        states = embed_states(build_gram(n, 0.6))
+        eigh_calls.clear()
+        result = optimal_povm_fixed_point(states, priors)
+        assert eigh_calls == []
+        assert result.converged
+        assert result._weights[2] > 0.0
+
+    @pytest.mark.parametrize("n, c2, priors", [
+        (4, 0.36, [0.3, 0.0, 0.4, 0.3]),
+        (8, 0.5, None),
+        (10, 0.95, None),
+        (20, 0.9, None),
+    ], ids=["readme", "dirichlet-8", "dirichlet-10", "dirichlet-20"])
+    def test_dual_gap_closes(self, n, c2, priors):
+        # the state-space Yuen-Kennedy-Lax bound shares nothing with the
+        # solver; p o^2 steering stopped 1.1e-3 to 0.14 below it
+        states = embed_states(build_gram(n, math.sqrt(c2)))
+        if priors is None:
+            priors = np.random.default_rng([n, int(100 * c2)]).dirichlet(np.ones(n))
+        priors = np.asarray(priors)
+        result = optimal_povm_fixed_point(states, priors, tol=1e-15)
+        assert result.converged
+        bound = yuen_kennedy_lax_bound(states, priors, result.vectors)
+        assert bound - result.success_probability <= 1e-10
+        if n == 4:
+            # the README example: 0.907941693817 after 1 iteration, unconverged, with p o^2
+            assert f"{result.success_probability:.12f}" == "0.908410104217"
+
     def test_vectors_rebuild_povm(self):
         result = optimal_povm_fixed_point(embed_states(build_gram(6, 0.5)), uniform(6))
         for k, element in enumerate(dense_povm(result.vectors)):
@@ -505,12 +544,15 @@ class TestFixedPointSolver:
         (np.array([[1.0, 0.0], [math.nan, 1.0]]), "finite"),
         (np.ones(3), r"2-D.*\(3,\)"),
         (np.ones((2, 2, 2)), r"2-D.*\(2, 2, 2\)"),
-    ], ids=["inf", "nan", "one-inf", "one-nan", "1-D", "3-D"])
+        (embed_states(build_gram(4, 0.5)) * [1.0, 1.0, 1.0, 1e200], "Gram matrix S\\^T S must be finite"),
+    ], ids=["inf", "nan", "one-inf", "one-nan", "1-D", "3-D", "gram-overflow"])
     def test_rejects_bad_states(self, states, message):
         # non-finite states used to report success 0.0, converged, with NaN
-        # vectors; a 1-D array died with IndexError and a 3-D one with LinAlgError
+        # vectors; a 1-D array died with IndexError and a 3-D one with
+        # LinAlgError; finite states whose G[3, 3] overflows passed the chain
+        # test against an infinite limit and read the unit chain's 0.8985
         with pytest.raises(ValueError, match=message):
-            optimal_povm_fixed_point(states, uniform(2))
+            optimal_povm_fixed_point(states, uniform(np.shape(states)[-1]))
 
 
 class TestCollectiveSummary:

@@ -15,8 +15,7 @@ from qchangepoint.online import (
     iter_trial_records,
     monte_carlo,
     qubit_pair,
-    simulate_basic_local,
-    simulate_greedy_trial,
+    simulate_trial,
 )
 from qchangepoint.rng import CounterRng, trial_seed, trial_seed_array
 
@@ -50,20 +49,20 @@ class TestBasicLocal:
 
     def test_orthogonal_always_succeeds(self):
         for k in (1, 3, 6):
-            record = simulate_basic_local(6, 0.0, k, CounterRng(trial_seed(5, k)))
+            record = simulate_trial("basic", 6, 0.0, k, CounterRng(trial_seed(5, k)))
             assert record.guess == record.true_k == k
             assert record.success
 
     def test_no_click_guesses_last_position(self):
         # a uniform stream of 0.99 never fires for c^2 > 0.01
-        record = simulate_basic_local(8, 0.9, 8, FixedRng(0.99))
+        record = simulate_trial("basic", 8, 0.9, 8, FixedRng(0.99))
         assert record.outcomes == "0" * 8
         assert record.guess == 8
         assert record.success
 
     def test_first_click_wins(self):
         # always fires at the first mutated particle
-        record = simulate_basic_local(8, 0.5, 3, FixedRng(0.0))
+        record = simulate_trial("basic", 8, 0.5, 3, FixedRng(0.0))
         assert record.guess == 3
         assert record.outcomes == "00111111"
 
@@ -74,9 +73,11 @@ class TestBasicLocal:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simulate_basic_local(5, 0.5, 0, CounterRng(1))
+            simulate_trial("basic", 5, 0.5, 0, CounterRng(1))
         with pytest.raises(ValueError):
-            simulate_basic_local(5, 0.5, 6, CounterRng(1))
+            simulate_trial("basic", 5, 0.5, 6, CounterRng(1))
+        with pytest.raises(ValueError, match=r"strategy must be one of \['basic', 'greedy'\]"):
+            simulate_trial("smart", 5, 0.5, 3, CounterRng(1))
 
 
 class TestHelstromMeasurement:
@@ -191,18 +192,18 @@ class TestStepKernels:
 class TestGreedyTrial:
     def test_orthogonal_always_succeeds(self):
         for true_k in range(1, 7):
-            record = simulate_greedy_trial(6, 0.0, true_k, CounterRng(trial_seed(9, true_k)))
+            record = simulate_trial("greedy", 6, 0.0, true_k, CounterRng(trial_seed(9, true_k)))
             assert record.success
             assert record.guess == true_k
 
     def test_single_particle(self):
-        record = simulate_greedy_trial(1, 0.7, 1, CounterRng(123))
+        record = simulate_trial("greedy", 1, 0.7, 1, CounterRng(123))
         assert record.guess == 1
         assert record.success
         assert record.outcomes == "1"
 
     def test_record_consistency(self):
-        record = simulate_greedy_trial(7, 0.6, 4, CounterRng(trial_seed(15, 2)))
+        record = simulate_trial("greedy", 7, 0.6, 4, CounterRng(trial_seed(15, 2)))
         assert len(record.outcomes) == 7
         assert set(record.outcomes) <= {"0", "1"}
         assert record.success == (record.guess == record.true_k)
@@ -216,7 +217,7 @@ class TestGreedyTrial:
 
         monkeypatch.setattr(online_module, "helstrom_measurement", half)
         for true_k in range(1, 6):
-            record = simulate_greedy_trial(5, 0.0, true_k, CounterRng(trial_seed(4, true_k)))
+            record = simulate_trial("greedy", 5, 0.0, true_k, CounterRng(trial_seed(4, true_k)))
             assert record.guess == 1
 
 
@@ -310,25 +311,24 @@ class TestMonteCarloHarness:
                                           trial_seed_array(4, np.arange(2001)))
 
     def test_records_match_scalar_simulators(self):
-        # the vectorized engine and the step-by-step scalar ops follow the
-        # same counter-based stream, so whole trials coincide; the greedy
-        # replay runs the full posterior, the engine only (tail, best, index)
-        for strategy, simulate, n, c in (
-            ("basic", simulate_basic_local, 11, 0.6),
-            ("basic", simulate_basic_local, 1, 0.6),
-            ("greedy", simulate_greedy_trial, 7, 0.6),
-            ("greedy", simulate_greedy_trial, 1, 0.6),
-            ("greedy", simulate_greedy_trial, 12, math.sqrt(0.3)),
-            ("greedy", simulate_greedy_trial, 12, math.sqrt(0.7)),
-            ("greedy", simulate_greedy_trial, 50, 0.0),
-            ("greedy", simulate_greedy_trial, 50, math.sqrt(0.5)),
-            ("greedy", simulate_greedy_trial, 50, math.sqrt(0.95)),
-        ):
-            records = list(iter_trial_records(strategy, n, c, 150, 31))
-            assert len(records) == 150
-            for record in records:
-                replay = simulate(n, c, record.true_k, CounterRng(record.seed))
-                assert replay == record
+        # the vectorized engine and the step-by-step scalar replay follow the
+        # same counter-based stream, so whole trials coincide; the replay runs
+        # the full posterior, the engine only (tail, best, index).  c = 1e-170
+        # squares to zero, and c^2 = 0.999999 fires once in 10^6 particles
+        for strategy, points in {
+            "basic": [(1, 0.6), (11, 0.6), (11, 0.0), (50, 1e-170), (50, math.sqrt(0.5)),
+                      (200, math.sqrt(0.999999))],
+            "greedy": [(7, 0.6), (1, 0.6), (12, math.sqrt(0.3)), (12, math.sqrt(0.7)),
+                       (50, 0.0), (50, math.sqrt(0.5)), (50, math.sqrt(0.95))],
+        }.items():
+            for n, c in points:
+                records = list(iter_trial_records(strategy, n, c, 150, 31))
+                assert len(records) == 150
+                for record in records:
+                    assert simulate_trial(strategy, n, c, record.true_k, CounterRng(record.seed)) == record
+                    if strategy == "basic":
+                        # the paper's rule: the first click, or n when nothing clicks
+                        assert record.guess == (record.outcomes.find("1") + 1 or n)
 
     def test_record_seeds_are_derived_trial_seeds(self):
         records = list(iter_trial_records("basic", 4, 0.5, 10, 12345))
