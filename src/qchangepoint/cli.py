@@ -21,6 +21,12 @@ checked first.  Then every output file is created under a temporary name
 before any computing starts, and all of a run's files are renamed together
 once all are complete, so a failed run leaves none of its files behind.  An
 output that cannot be written ends the run with exit code 3.
+
+Each runner returns its output as tables (``Table``): columns of cells, or
+one cell every row shares.  ``_serialize`` writes a table through one line
+template, formatting each column with one conversion chosen by the type of
+its cells, and prints the same text as formatting row by row with
+``_format_cell`` (CSV) or ``_json_cell`` (JSONL).
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import functools
+import itertools
 import json
 import math
 import os
@@ -43,7 +51,7 @@ from .collective import collective_summary
 from .gram import diag_deviation_asymptotic, solve_spectrum, sqrt_trace_limit
 from .online import _STRATEGIES, _binomial_estimate, basic_local_closed_form, iter_trial_records, monte_carlo
 
-__all__ = ["ConfigError", "main", "entrypoint",
+__all__ = ["ConfigError", "Table", "main", "entrypoint",
            "run_sweep", "run_spectrum_dump", "run_montecarlo"]
 
 _MAX_SEED = 2**64
@@ -174,6 +182,19 @@ def _grid_points(raw: dict[str, str]) -> list[tuple[int, float]]:
 # serialization
 
 
+class Table(NamedTuple):
+    """``rows`` output rows, given column by column.
+
+    Each entry of ``columns`` is a sequence (list, range or numpy array) of
+    ``rows`` cells, or one cell -- a str, int, float or None -- that every
+    row shares.  A column the table does not hold serializes empty (CSV) or
+    null (JSONL); a column that is not in the output schema is ignored.
+    """
+
+    rows: int
+    columns: dict
+
+
 # every cell is None, a str, an int or a float; per-trial records do not pass
 # through here (see _write_records)
 def _format_cell(value) -> str:
@@ -191,21 +212,59 @@ def _json_cell(value):
     return float(f"{value:.12g}")
 
 
-def _serialize(columns: Sequence[str], rows: Iterable[dict], fmt: str) -> Iterator[str]:
+def _json_text(value) -> str:
+    return json.dumps(_json_cell(value))
+
+
+def _column_field(values, fmt: str) -> tuple[str, Iterable]:
+    """A column's field in a line template and the values that fill it.
+
+    The conversion is chosen once per column from its cells' types, so a
+    line is filled in C: ``%d`` for ints and ``%.12g`` for floats (CSV),
+    which print what _format_cell prints.  A column of any other mix, and
+    every JSONL column but an int one, is mapped through _format_cell or
+    _json_text cell by cell.
+    """
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return "%d", values
+    if fmt == "csv" and kinds == {str}:
+        return "%s", values
+    if fmt == "csv" and all(issubclass(kind, float) for kind in kinds):
+        return "%.12g", values
+    return "%s", map(_format_cell if fmt == "csv" else _json_text, values)
+
+
+def _serialize(columns: Sequence[str], tables: Iterable[Table], fmt: str) -> Iterator[str]:
     """Yield the output one line at a time, each ending in a newline.
 
-    Missing columns serialize empty (CSV) or null (JSONL); extra keys are ignored.
+    Each table is written through one line template: its shared cells and
+    absent columns are text in the template, and every other column is one
+    of its fields (_column_field).
     """
     if fmt == "csv":
         yield ",".join(columns) + "\n"
-        for row in rows:
-            yield ",".join(_format_cell(row.get(col)) for col in columns) + "\n"
-    else:
-        for row in rows:
-            yield json.dumps(
-                {col: _json_cell(row.get(col)) for col in columns},
-                separators=(",", ":"),
-            ) + "\n"
+    for table in tables:
+        fields, filled = [], []
+        for col in columns:
+            values = table.columns.get(col)
+            if values is None or isinstance(values, (str, int, float)):
+                text = _format_cell(values) if fmt == "csv" else _json_text(values)
+                field = text.replace("%", "%%")
+            else:
+                field, values = _column_field(values, fmt)
+                filled.append(values)
+            if fmt != "csv":
+                field = json.dumps(col).replace("%", "%%") + ":" + field
+            fields.append(field)
+        if fmt == "csv":
+            template = ",".join(fields) + "\n"
+        else:
+            template = "{" + ",".join(fields) + "}\n"
+        cells = zip(*filled) if filled else itertools.repeat((), table.rows)
+        yield from map(template.__mod__, cells)
 
 
 # the record keys after the fixed (strategy, n, c2) prefix, in RECORD_COLUMNS order
@@ -331,7 +390,12 @@ def _montecarlo_config(raw: dict[str, str]) -> tuple[dict, str, list, int]:
     return settings, strategy, points, _int_at_least(raw, "trials", "100000", 1)
 
 
-def run_sweep(config: tuple[dict, list, int, float, int]) -> list[dict]:
+def _row_table(rows: list[dict]) -> Table:
+    """The table of rows that all hold the first row's keys."""
+    return Table(len(rows), {key: [row[key] for row in rows] for key in rows[0]})
+
+
+def run_sweep(config: tuple[dict, list, int, float, int]) -> list[Table]:
     settings, points, trials, fp_tol, fp_max_iter = config
 
     def worker(point: tuple[int, float]) -> dict:
@@ -346,40 +410,29 @@ def run_sweep(config: tuple[dict, list, int, float, int]) -> list[dict]:
             row["greedy_stderr"] = stderr
         return row
 
-    return _map_grid(worker, points, settings["threads"])
+    return [_row_table(_map_grid(worker, points, settings["threads"]))]
 
 
-def run_spectrum_dump(config: tuple[dict, int, float, int]) -> list[dict]:
+def run_spectrum_dump(config: tuple[dict, int, float, int]) -> list[Table]:
     _, n, c2, kmax = config
     c = math.sqrt(c2)
     spectrum = solve_spectrum(n, c)
     # only the printed rows of the eigenvector matrix and diagonal of sqrt(G)
     diag = (spectrum.eigenvector_rows(kmax) ** 2) @ np.sqrt(spectrum.lambdas)
     gamma = sqrt_trace_limit(c)
-    rows: list[dict] = []
-    for l in range(n):
-        rows.append({
-            "table": "eigen",
-            "l": l + 1,
-            "theta_l": float(spectrum.thetas[l]),
-            "lambda_l": float(spectrum.lambdas[l]),
-        })
-    for k in range(1, kmax + 1):
-        diag_kk = float(diag[k - 1])
-        rows.append({
-            "table": "diag",
-            "k": k,
-            "sqrtg_kk": diag_kk,
-            "gamma": gamma,
-            "deviation_numeric": diag_kk - gamma,
-            "deviation_asymptotic": diag_deviation_asymptotic(k, c),
-        })
-    return rows
+    ks = range(1, kmax + 1)
+    return [
+        Table(n, {"table": "eigen", "l": range(1, n + 1),
+                  "theta_l": spectrum.thetas, "lambda_l": spectrum.lambdas}),
+        Table(kmax, {"table": "diag", "k": ks, "sqrtg_kk": diag, "gamma": gamma,
+                     "deviation_numeric": diag - gamma,
+                     "deviation_asymptotic": [diag_deviation_asymptotic(k, c) for k in ks]}),
+    ]
 
 
 def run_montecarlo(config: tuple[dict, str, list, int],
-                   records: Optional[TextIO] = None) -> list[dict]:
-    """Estimate one online strategy over the grid; return the summary rows.
+                   records: Optional[TextIO] = None) -> list[Table]:
+    """Estimate one online strategy over the grid; return the summary table.
 
     With a ``records`` handle, every trial's JSONL line is streamed to it
     from the calling thread in grid order, and each point's estimate is
@@ -402,7 +455,7 @@ def run_montecarlo(config: tuple[dict, str, list, int],
             "estimate": estimate, "std_error": stderr, "base_seed": seed,
         }
 
-    return _map_grid(worker, points, settings["threads"] if records is None else 1)
+    return [_row_table(_map_grid(worker, points, settings["threads"] if records is None else 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +502,13 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # flags only collect strings: the configure function parses them, as it
-    # parses config-file values
+    # parses config-file values.  Built once, and only read after: a build
+    # took 0.6 ms per main call and left a web of about 230 objects in
+    # reference cycles, whose lingering garbage grew the peak RSS of a
+    # process that calls main many times
     parser = argparse.ArgumentParser(
         prog="qchangepoint",
         description="change-point identification experiments on qubit streams",
@@ -487,8 +544,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         run = globals()[spec.runner]
         with _staged_outputs(settings["out"], raw.get("records")) as (out, records):
             # only montecarlo accepts a records path
-            rows = run(config) if records is None else run(config, records)
-            lines = _serialize(spec.columns, rows, settings["format"])
+            tables = run(config) if records is None else run(config, records)
+            lines = _serialize(spec.columns, tables, settings["format"])
             if out is not None:
                 out.writelines(lines)
         if out is None:

@@ -1,25 +1,26 @@
 """Gram matrix of the source states and its exact spectral structure.
 
-The n source states (change at position k) have pairwise overlaps c^{|i-j|},
-a symmetric Toeplitz Gram matrix whose inverse is tridiagonal up to two
-corner corrections.  Eigenvalue angles are the zeros of the boundary
-polynomial; each has an analytic bracket of width pi/(n+1), and all n are
-bisected at once to full float precision, in a form of the phase equation
-that keeps relative precision as c -> 1.  The eigenvectors are sines with a
-closed-form norm, so a caller builds only the rows it reads; the full
-matrix is formed on first use.  The collective figures of the chain read
-only the diagonal of a square root, diag((D G D)^{1/2}) for a nonnegative
-diagonal D; ``_chain_root_diagonal`` gives it in O(n N) from the
-tridiagonal inverse of G and an N-node quadrature (``_sqrt_rule``), with
-no n x n array.  The full root, ``_symmetric_root`` (V diag(sqrt(lambda))
-V^T and nothing else), is built from this spectrum for ``sqrt_gram`` and
-from LAPACK's eigenpairs for any other Gram matrix.  A round-robin Jacobi
-eigensolver is the test oracle only.  It stays here only because
-``perfbench/tracing.py`` lists it by name, which ``tests/test_api.py``
-checks; the benchmark's workloads make no call to it.  The other oracles
-(the boundary polynomial, the I_r quadrature) live in the tests.  The
-package's argument checks live here: ``_integer``, ``_check_overlap``
-(n, c) and ``_symmetric_matrix``.
+The n source states (change at position k) have pairwise overlaps
+c^{|i-j|}, a symmetric Toeplitz Gram matrix whose inverse is tridiagonal up
+to two corner corrections.  Eigenvalue angles are the zeros of the boundary
+polynomial; each has an analytic bracket of width pi/(n+1).  All n are
+solved at once by safeguarded Newton inside those brackets and finished by
+bisection from a bracket a few ulps wide, to full float precision, in a
+form of the phase equation that keeps relative precision as c -> 1.  The
+eigenvectors are sines with a closed-form norm, so a caller builds only the
+rows it reads; the full matrix is formed on first use.  The collective
+figures of the chain read only the diagonal of a square root,
+diag((D G D)^{1/2}) for a nonnegative diagonal D; ``_chain_root_diagonal``
+gives it in O(n N) from the tridiagonal inverse of G and an N-node quadrature
+(``_sqrt_rule``), with no n x n array.  The full root, ``_symmetric_root``
+(V diag(sqrt(lambda)) V^T and nothing else), is built from this spectrum
+for ``sqrt_gram`` and from LAPACK's eigenpairs for any other Gram matrix.
+A round-robin Jacobi eigensolver is the test oracle only.  It stays here
+only because ``perfbench/tracing.py`` lists it by name, which
+``tests/test_api.py`` checks; the benchmark's workloads make no call to it.
+The other oracles (the boundary polynomial, the bracket-only bisection, the
+I_r quadrature) live in the tests.  The package's argument checks live
+here: ``_integer``, ``_check_overlap`` (n, c) and ``_symmetric_matrix``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ __all__ = [
 
 _JACOBI_OFF_TOL = 1e-12
 _JACOBI_MAX_SWEEPS = 60
+# Newton on the eigen-angles stops once no step moves more than _NEWTON_ULPS
+# ulps, the rounding noise of the phase equation, and brackets each iterate
+# by as many ulps on either side; the slowest landing seen, theta_1 at c one
+# ulp below 1, takes 31 steps
+_NEWTON_STEPS = 40
+_NEWTON_ULPS = 4.0
 
 
 class DegenerateEnsembleError(ValueError):
@@ -142,12 +149,20 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
 
     The angle theta_l is the one root of the phase equation
     (n+1) theta + 2 phi(theta) = l pi, phi = atan2(c sin(theta), 1 - c cos(theta)),
-    inside ((l-1) pi/(n+1), l pi/(n+1)]; the phase has slope >= n there.  All
-    n brackets are bisected at once down to adjacent floats, on the same
-    equation written with the complementary angle pi/2 - phi:
-    (n+1) theta - 2 atan2(1 - c cos(theta), c sin(theta)) = (l-1) pi.  At the
-    smallest angle both terms are then small and keep their relative
-    precision as c -> 1, where theta_1 ~ sqrt(1-c).  Eigenvalues
+    inside ((l-1) pi/(n+1), l pi/(n+1)]; the phase has slope >= n there.  It
+    is solved on the same equation written with the complementary angle
+    pi/2 - phi: (n+1) theta - 2 atan2(1 - c cos(theta), c sin(theta)) = (l-1) pi.
+    At the smallest angle both terms are then small and keep their relative
+    precision as c -> 1, where theta_1 ~ sqrt(1-c).  All n angles take
+    Newton steps at once from their bracket midpoints, a step that leaves
+    the bracket known so far being a halving instead, until no step moves
+    more than 4 ulps.  Each iterate then gets a bracket 4 ulps to either
+    side, kept where its lower end evaluates below the root and its upper
+    end does not (or is the analytic end); an angle whose bracket fails
+    keeps its analytic one.  All brackets are then bisected at once down to
+    adjacent floats, and theta_l is the upper end, so every angle keeps the
+    bisection's float invariant (3 to 4 rounds after Newton for n up to
+    2000 and c^2 up to one ulp below 1).  Eigenvalues
     follow as (1-c^2)/(1-2c cos(theta_l)+c^2).  Both denominators are written
     without cancellation as c -> 1: 1 - c cos(theta) = (1-c) + 2c sin^2(theta/2),
     1 - 2c cos(theta) + c^2 = (1-c)^2 + 4c sin^2(theta/2), and 1 - c^2 =
@@ -157,8 +172,8 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
     n/2 - sin(n theta) cos((n+1) theta + 2 phi) / (2 sin(theta)), reduces by
     the phase equation to n/2 + sin(2 psi - theta) / (2 sin(theta)) with
     psi = pi/2 - phi: no large argument and no cancellation.  So the
-    spectrum costs O(n) per bisection step and no eigenvector entry is
-    formed until one is read.
+    spectrum costs O(n) per Newton or bisection step and no eigenvector
+    entry is formed until one is read.
     """
     n = _check_overlap(c, n)
     j = np.arange(1, n + 1)
@@ -167,16 +182,45 @@ def solve_spectrum(n: int, c: float) -> GramSpectrum:
         """(c sin(theta), 1 - c cos(theta)), the sides of the angle phi."""
         return c * np.sin(theta), (1.0 - c) + 2.0 * c * np.sin(0.5 * theta) ** 2
 
+    def excess(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n+1) theta - 2 psi - (l-1) pi, negative exactly where theta lies
+        below its root, and the sides of phi at theta."""
+        opposite, adjacent = phase_sides(theta)
+        return (n + 1.0) * theta - 2.0 * np.arctan2(adjacent, opposite) - floor, opposite, adjacent
+
     floor = (j - 1) * math.pi
-    lo = floor / (n + 1.0)
-    hi = j * math.pi / (n + 1.0)
+    lower = floor / (n + 1.0)
+    upper = j * math.pi / (n + 1.0)
+    # safeguarded Newton from the midpoints; the slope is (n+1) + bend,
+    # bend = 2 dphi/dtheta = 2 (adjacent c cos(theta) - opposite^2) / (adjacent^2 + opposite^2)
+    # with c cos(theta) = 1 - adjacent
+    lo, hi, theta = lower, upper, 0.5 * (lower + upper)
+    for _ in range(_NEWTON_STEPS):
+        residual, opposite, adjacent = excess(theta)
+        below = residual < 0.0
+        lo = np.where(below, theta, lo)
+        hi = np.where(below, hi, theta)
+        bend = 2.0 * (adjacent * (1.0 - adjacent) - opposite**2) / (adjacent**2 + opposite**2)
+        step = np.minimum(theta - residual / ((n + 1.0) + bend), upper)
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        settled = np.abs(step - theta) <= _NEWTON_ULPS * np.spacing(step)
+        theta = step
+        if settled.all():
+            break
+    # a bracket of a few ulps about the iterate, where its ends check out;
+    # the upper analytic end counts as not below, as in the bisection
+    width = _NEWTON_ULPS * np.spacing(theta)
+    lo = np.maximum(theta - width, lower)
+    hi = np.minimum(theta + width, upper)
+    landed = (excess(lo)[0] < 0.0) & ((hi == upper) | (excess(hi)[0] >= 0.0))
+    lo = np.where(landed, lo, lower)
+    hi = np.where(landed, hi, upper)
     while True:
         mid = 0.5 * (lo + hi)
         inside = (lo < mid) & (mid < hi)
         if not inside.any():
             break
-        opposite, adjacent = phase_sides(mid)
-        below = (n + 1.0) * mid - 2.0 * np.arctan2(adjacent, opposite) < floor
+        below = excess(mid)[0] < 0.0
         lo = np.where(inside & below, mid, lo)
         hi = np.where(inside & ~below, mid, hi)
     thetas = hi
@@ -260,12 +304,15 @@ def _chain_root_diagonal(weights: np.ndarray, c: float) -> np.ndarray:
     sweeps = np.concatenate((delta, delta[::-1]), axis=1)
     passed = np.empty((n - 1, sweeps.shape[1]))
     pivot = sweeps[0].copy()
-    inverse_c = 1.0 / c
+    # the loop is interpreter-bound: local ufuncs, positional outputs and a
+    # vector 1/c keep each step to four plain ufunc calls
+    inverse_c = np.full_like(pivot, 1.0 / c)
+    reciprocal, add = np.reciprocal, np.add
     for row, out in zip(sweeps[1:], passed):
-        np.reciprocal(pivot, out=pivot)
-        pivot += inverse_c
-        np.reciprocal(pivot, out=out)
-        np.add(row, out, out=pivot)
+        reciprocal(pivot, pivot)
+        add(pivot, inverse_c, pivot)
+        reciprocal(pivot, out)
+        add(row, out, pivot)
     size = nodes.size
     delta[1:] += passed[:, :size]
     delta[:-1] += passed[::-1, size:]

@@ -5,8 +5,11 @@ module imports nothing from ``qchangepoint``, so an error in the library
 cannot leak into its own reference value.
 
 * ``boundary_polynomial`` evaluates the characteristic polynomial by its
-  three-term recurrence; the library bisects the angles on a phase equation
-  instead.
+  three-term recurrence; the library solves a phase equation for the
+  angles instead.
+* ``bisected_angles`` bisects that phase equation from the analytic
+  brackets alone, down to adjacent floats, with the float predicate
+  ``angle_below``; the library starts from Newton iterates instead.
 * ``integral_i_r`` is the oscillatory integral behind the large-k deviation
   of diag(sqrt G), by adaptive quadrature or by its large-r asymptote.
 * ``yuen_kennedy_lax_bound`` bounds the optimal success probability of a
@@ -44,6 +47,35 @@ def boundary_polynomial(n: int, c: float, x: float) -> float:
         u_nm2, u_nm1 = u_nm1, 2.0 * x * u_nm1 - u_nm2
     u_n = 2.0 * x * u_nm1 - u_nm2
     return u_n - 2.0 * c * u_nm1 + c * c * u_nm2
+
+
+def angle_below(n: int, c: float, thetas: np.ndarray) -> np.ndarray:
+    """Whether each theta_l lies below the root of its phase equation
+    (n+1) theta - 2 atan2(1 - c cos(theta), c sin(theta)) = (l-1) pi, in float64
+    and with 1 - c cos(theta) written as (1-c) + 2c sin^2(theta/2)."""
+    opposite = c * np.sin(thetas)
+    adjacent = (1.0 - c) + 2.0 * c * np.sin(0.5 * thetas) ** 2
+    return (n + 1.0) * thetas - 2.0 * np.arctan2(adjacent, opposite) < np.arange(n) * math.pi
+
+
+def bisected_angles(n: int, c: float) -> np.ndarray:
+    """The n eigen-angles of the Gram matrix by bisection on ``angle_below``.
+
+    Each bracket starts as ((l-1) pi/(n+1), l pi/(n+1)], and all are halved
+    at once until no midpoint lies strictly inside one; theta_l is the upper
+    end, the first float the predicate puts on or above the root.
+    """
+    l = np.arange(1, n + 1)
+    lo = (l - 1) * math.pi / (n + 1.0)
+    hi = l * math.pi / (n + 1.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return hi
+        below = angle_below(n, c, mid)
+        lo = np.where(inside & below, mid, lo)
+        hi = np.where(inside & ~below, mid, hi)
 
 
 def integral_i_r(r: int, c: float, mode: str = "exact") -> float:

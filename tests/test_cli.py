@@ -130,6 +130,22 @@ class TestGoldenOutputs:
         assert capsys.readouterr().out == SWEEP_GOLDEN
 
 
+# sha256 of the benchmark-size outputs as the bracket-only angle bisection
+# and the row-by-row serializer printed them
+SPECTRUM_SHA256 = {
+    (1000, "0.05"): "cd5e5338fefa4d915030707aa2e1f933ff31679bb5068b23f5dd111e8499203f",
+    (1000, "0.5"): "0131c483d35b2c7325fd824346c8324a83ec292a1a5153a57561c094a04242cf",
+    (1000, "0.99"): "a23225b93af77756dce631806892caa7ae00b0c81a18ff17e04d985b8533fdab",
+    (2000, "0.05"): "ff267473b96519d269ad969c73e53f3cff330eb5c1bfc5a3ac944e09f9a48451",
+    (2000, "0.5"): "8955ea5bbd6e6d412846c0d3c34beb77c4825924f1ab9b0eab92d8e5e15b08b9",
+    (2000, "0.99"): "871ffc183ea5a48efe7a3ae203c720c0622e2ced8283aced2199cda7926147ed",
+}
+SWEEP_SHA256 = {
+    "collective_scaling.csv": "661cba212b1913776cfed53cc46379e3d05632d88689a611241cb8eedca40853",
+    "fig_sweep_seed1.csv": "d56e413db28caca361fef850e8ddfe23211809fb652923c26f53c6f0acb6e74b",
+}
+
+
 class TestBenchmarkReference:
     @pytest.mark.parametrize("grid, reference", [
         (["--n", "150,300,450", "--c2", "0.1,0.5,0.9,0.99"], "collective_scaling.csv"),
@@ -139,10 +155,12 @@ class TestBenchmarkReference:
         # the benchmark's two sweep grids against its recorded collective
         # columns, to 1e-9.  The fixed-point value is checked one-sided, as
         # the benchmark does: it is the success probability of a valid POVM,
-        # so a solver that converges further can only raise it
+        # so a solver that converges further can only raise it.  The whole
+        # output is also pinned byte for byte
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", *grid, "--trials", "0", "--threads", "1",
                          "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[reference]
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
         with open(REFERENCE_DIR / reference, newline="") as handle:
@@ -156,6 +174,12 @@ class TestBenchmarkReference:
                     assert got >= want - 1e-9, where
                 else:
                     assert got == pytest.approx(want, abs=1e-9), where
+
+    @pytest.mark.parametrize("n, c2", sorted(SPECTRUM_SHA256))
+    def test_spectrum_dumps_are_pinned(self, tmp_path, n, c2):
+        out = tmp_path / "spectrum.csv"
+        assert cli.main(["spectrum", "--n", str(n), "--c2", c2, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SPECTRUM_SHA256[n, c2]
 
     def test_figure_grid_monte_carlo_columns_match(self, tmp_path):
         # the benchmark's figure grid with its 1e4 greedy trials at seed 1:
@@ -232,11 +256,11 @@ class TestSpectrumCommand:
         # n x n matrix (32 MB, twice over while it was normalised)
         tracemalloc.start()
         try:
-            rows = cli.run_spectrum_dump(({}, 2000, 0.5, 15))
+            tables = cli.run_spectrum_dump(({}, 2000, 0.5, 15))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rows) == 2015
+        assert [table.rows for table in tables] == [2000, 15]
         assert peak < 4e6
 
 
@@ -321,7 +345,7 @@ class TestConfigHandling:
 
         def fake_dump(config):
             seen.append(config)
-            return [{"table": "eigen", "l": 1}]
+            return [cli.Table(1, {"table": "eigen", "l": [1]})]
 
         monkeypatch.setattr(cli, "run_spectrum_dump", fake_dump)
         assert cli.main(["spectrum", "--n", "3", "--c2", "0.5", "--kmax", "2"]) == 0
@@ -416,11 +440,11 @@ def _fail_after(monkeypatch, name, calls):
     original = getattr(cli, name)
     seen = []
 
-    def wrapper(value):
-        seen.append(value)
+    def wrapper(*args):
+        seen.append(args)
         if len(seen) > calls:
             raise InjectedFailure(f"{name} call {len(seen)}")
-        return original(value)
+        return original(*args)
 
     monkeypatch.setattr(cli, name, wrapper)
     return seen
@@ -428,13 +452,19 @@ def _fail_after(monkeypatch, name, calls):
 
 class TestFailedRunLeavesNoFile:
     # the failure is raised inside the line iterator while writelines is
-    # writing the temp file, after the first lines have been written
-    def test_sweep_failure_mid_write(self, tmp_path, monkeypatch):
-        seen = _fail_after(monkeypatch, "_format_cell", 25)
-        out = tmp_path / "sweep.csv"
+    # writing the temp file, after the first lines have been written: the
+    # sweep's header, or the spectrum's header and its eigen table (whose
+    # three formatted columns are l, theta_l and lambda_l)
+    @pytest.mark.parametrize("argv, columns", [
+        (["sweep", "--n", "2,3", "--c2", "0.2,0.5"], 5),
+        (["spectrum", "--n", "6", "--c2", "0.5"], 3),
+    ], ids=["sweep", "spectrum"])
+    def test_failure_mid_write(self, tmp_path, monkeypatch, argv, columns):
+        seen = _fail_after(monkeypatch, "_column_field", columns)
+        out = tmp_path / "out.csv"
         with pytest.raises(InjectedFailure):
-            cli.main(["sweep", "--n", "2,3", "--c2", "0.2,0.5", "--out", str(out)])
-        assert len(seen) == 26
+            cli.main(argv + ["--out", str(out)])
+        assert len(seen) == columns + 1
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 
@@ -548,6 +578,80 @@ class TestUnwritableOutput:
         assert capsys.readouterr().err == (
             f"qchangepoint: cannot write {out} or {records}: {os.strerror(errno.ENOSPC)}\n")
         assert list(tmp_path.iterdir()) == []
+
+
+def _per_row_text(columns, tables, fmt) -> str:
+    """The tables serialized row by row and cell by cell with _format_cell
+    and _json_cell, as the output was written before it went column-wise."""
+    lines = [",".join(columns) + "\n"] if fmt == "csv" else []
+    for table in tables:
+        for i in range(table.rows):
+            row = {col: values if values is None or isinstance(values, (str, int, float))
+                   else values[i] for col, values in table.columns.items()}
+            if fmt == "csv":
+                lines.append(",".join(cli._format_cell(row.get(col)) for col in columns) + "\n")
+            else:
+                lines.append(json.dumps({col: cli._json_cell(row.get(col)) for col in columns},
+                                        separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+class TestColumnSerializer:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "4", "--c2", "0"],
+        ["spectrum", "--n", "7", "--c2", repr(math.nextafter(1.0, 0.0))],
+        ["spectrum", "--n", "1", "--c2", "0.5"],
+        ["spectrum", "--n", "30", "--c2", "0.36", "--kmax", "1"],
+        ["spectrum", "--n", "30", "--c2", "0.36", "--kmax", "30"],
+        ["sweep", "--n", "2,3", "--c2", "0,0.36", "--trials", "0"],
+        ["montecarlo", "--strategy", "basic", "--n", "2,3", "--c2", "0.5", "--trials", "50",
+         "--seed", str(2**64 - 1)],
+    ], ids=["c2-0", "c-ulp-below-1", "n-1", "kmax-1", "kmax-n", "sweep-no-trials", "max-seed"])
+    def test_output_equals_the_per_row_serializer(self, tmp_path, monkeypatch, argv, fmt):
+        spec = cli._SUBCOMMANDS[argv[0]]
+        original = getattr(cli, spec.runner)
+        tables = []
+
+        def capture(config):
+            tables.extend(original(config))
+            return tables
+
+        monkeypatch.setattr(cli, spec.runner, capture)
+        out = tmp_path / "out.txt"
+        assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == _per_row_text(spec.columns, tables, fmt)
+
+    def test_cells_print_by_their_type(self, capsys):
+        # an int column never goes through .12g, which would print the
+        # largest seed as 1.84467440737e+19; a float column prints .12g text,
+        # so lambda = 1.0 at c2 = 0 reads 1 and theta_1 ~ 1e-8 (c one ulp
+        # below 1) reads in exponent form
+        assert cli.main(["montecarlo", "--strategy", "basic", "--n", "2", "--c2", "0.5",
+                         "--trials", "10", "--seed", str(2**64 - 1)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",18446744073709551615")
+        assert cli.main(["spectrum", "--n", "3", "--c2", "0"]) == 0
+        eigen = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:4]]
+        assert [cells[3] for cells in eigen] == ["1", "1", "1"]
+        assert cli.main(["spectrum", "--n", "2", "--c2", repr(math.nextafter(1.0, 0.0))]) == 0
+        assert "e-" in capsys.readouterr().out.splitlines()[1].split(",")[2]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_mixed_shared_and_absent_columns(self, fmt):
+        # mixed columns go cell by cell; shared cells and literal text with
+        # a "%" in it go into the template; a table of shared cells alone
+        # still has its rows, and an empty one has none
+        tables = [
+            cli.Table(4, {"a": [np.int64(3), 2.5, None, "x%s"], "b": "100%", "e": None,
+                          "c": [True, False, 3, 2**64 - 1],
+                          "d": np.array([1.0, 1e-300, np.inf, 0.1]), "extra": [0] * 4}),
+            cli.Table(2, {"b": 7.25}),
+            cli.Table(0, {"a": []}),
+        ]
+        columns = ("a", "b", "c", "d", "e", "f")
+        text = "".join(cli._serialize(columns, tables, fmt))
+        assert text == _per_row_text(columns, tables, fmt)
+        assert text.count("\n") == 6 + (fmt == "csv")
 
 
 class TestRecordTemplate:

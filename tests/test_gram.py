@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import boundary_polynomial, integral_i_r
+from oracles import angle_below, bisected_angles, boundary_polynomial, integral_i_r
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dgejsv
@@ -157,6 +157,27 @@ class TestSolveSpectrum:
                 for k, t in zip(l.tolist(), map(mp.mpf, thetas.tolist()))
             )
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("c2", [0.0, 1e-12, 0.05, 0.36, 0.5, 0.9, 0.99, 0.999999,
+                                    math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50, 451, 1000, 2000])
+    def test_angles_match_the_bisection(self, n, c2):
+        # Newton only narrows the brackets: every angle keeps the bisection's
+        # float invariant, the float below it lies below the root and the
+        # angle does not, and lies within 2 ulps of the bracket-only
+        # bisection (the float predicate is not monotone within an ulp or
+        # two of some roots).  The analytic upper end l pi/(n+1) counts as
+        # not below, as in the bisection: at c = 0 it is the root, and its
+        # rounding reads below for some l (1 of 11 at n = 11, 407 of 2000)
+        c = math.sqrt(c2)
+        thetas = solve_spectrum(n, c).thetas
+        upper = np.arange(1, n + 1) * math.pi / (n + 1)
+        assert angle_below(n, c, np.nextafter(thetas, 0.0)).all()
+        assert (~angle_below(n, c, thetas) | (thetas == upper)).all()
+        if c2 > 0.0:
+            assert not angle_below(n, c, thetas).any()
+        oracle = bisected_angles(n, c)
+        assert (np.abs(thetas - oracle) <= 2.0 * np.spacing(oracle)).all()
 
     @pytest.mark.parametrize("c2", [0.999999, 0.9999999999999999])
     @pytest.mark.parametrize("n", [2, 10, 50])
