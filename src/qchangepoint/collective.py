@@ -12,17 +12,19 @@ diag sqrt(W) and lambda_max.  ``weighted_gram`` and ``embed_states`` build
 a ``WeightedGram`` (sqrt(W) in full, from LAPACK's eigenpairs) for any
 priors and Gram matrix.  ``collective_summary`` forms no n x n root: the
 closed-form spectrum of W = G/n gives tr sqrt(W) and lambda_max, and the
-chain kernel ``gram._chain_root_diagonal`` at w = 1/n gives diag sqrt(W).
-The fixed point exists once too, in ``_fixed_point``, which needs only G
-and the priors and reads only diag(M^{1/2}) per step.  On the change-point
-Gram matrix with every positive prior at least 1e-100, a step is the chain
-kernel, O(n N) with no eigendecomposition: the chain core.  G is recognised
-by comparing it with a strided view of c^|i-j| (``gram._gram_view``) a few
-rows at a time, with no n x n temporary; ``collective_summary``'s factor
-is the upper triangle of the same view.  Any other G
-takes one n x n LAPACK eigendecomposition per step: the dense core.
-``optimal_povm_fixed_point`` forms G = S^T S for it; the POVM vectors are
-built, with one thin SVD, only when first read.
+fixed point's square-root-measurement seed, the chain kernel
+``gram._chain_root_diagonal`` at w = 1/n, gives diag sqrt(W).
+The fixed point exists once too, in ``_fixed_point``, which reads only
+diag(M^{1/2}) per step, M = B^T B for the steered states B = S diag(sqrt w).
+On the change-point Gram matrix G = S^T S with every positive prior at least
+1e-100, a step is the chain kernel on G, O(n N) with no decomposition: the
+chain core.  G is recognised by comparing it with a strided view of c^|i-j|
+(``gram._gram_view``) a few rows at a time, with no n x n temporary;
+``collective_summary``'s factor is the upper triangle of the same view.
+Any other G takes one thin LAPACK SVD of B per step: the dense core.  B has
+one rank rule, in ``_steered_svd``: singular values at or below 1e-12 of the
+largest are cut, for the dense step and for the POVM vectors alike, which
+are built from the same SVD only when first read.
 """
 
 from __future__ import annotations
@@ -88,7 +90,9 @@ class PovmSolverResult:
     The optimal elements are rank one, E_k = g_k g_k^T, so only the vectors
     are kept: vectors[:, k] is g_k, in the coordinates of the states.  They
     are built from the states and the steering weights of the returned
-    iterate, with one thin SVD, the first time they are read.
+    iterate, with one thin SVD, the first time they are read.  The private
+    ``_seed_diagonal`` is diag(M^{1/2}) at weights = priors, the diagonal of
+    sqrt(W) that the square-root-measurement seed read.
     """
 
     success_probability: float
@@ -96,14 +100,14 @@ class PovmSolverResult:
     converged: bool
     _states: np.ndarray = field(repr=False, compare=False)
     _weights: np.ndarray = field(repr=False, compare=False)
+    _seed_diagonal: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def vectors(self) -> np.ndarray:
         """g = B M^{-1/2} = U V^T for B = S diag(sqrt w) = U diag(s) V^T and
-        M = B^T B; directions with s below 1e-12 of the largest are cut."""
-        u, s, vt = np.linalg.svd(self._states * np.sqrt(self._weights), full_matrices=False)
-        keep = s > _RANK_TOL * np.max(s, initial=0.0)
-        return u[:, keep] @ vt[keep]
+        M = B^T B, over the directions ``_steered_svd`` keeps."""
+        u, _, vt = _steered_svd(self._states, self._weights)
+        return u @ vt
 
 
 @dataclass(frozen=True)
@@ -231,18 +235,27 @@ def _on_chain(gram: np.ndarray, c: float) -> bool:
     return True
 
 
-def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int):
-    """The fixed-point iteration on the Gram matrix alone; see optimal_povm_fixed_point.
+def _steered_svd(states: np.ndarray, weights: np.ndarray):
+    """Thin SVD (U, s, V^T) of the steered states B = S diag(sqrt w), with the
+    directions whose singular value is at or below 1e-12 of the largest cut."""
+    u, s, vt = np.linalg.svd(states * np.sqrt(weights), full_matrices=False)
+    keep = s > _RANK_TOL * np.max(s, initial=0.0)
+    return u[:, keep], s[keep], vt[keep]
 
-    A step reads only diag(M^{1/2}), M = sqrt(w_i) G_ij sqrt(w_j).  On the
-    change-point chain (n >= 2, c = G[0, 1] in [0, 1) and G within 1e-12 of
-    max|G| of c^|i-j|, checked by ``_on_chain`` in row blocks) with every
-    positive prior at least 1e-100, ``gram._chain_root_diagonal`` gives it.
-    Any other G, n = 1 or a positive prior below 1e-100 takes one eigh of M
-    per step, with the directions below 1e-12 of its top eigenvalue
-    pseudo-inverted away.
-    Returns (value, iterations, converged, weights), the last being the
-    steering weights of the returned iterate.
+
+def _fixed_point(states: np.ndarray, gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int):
+    """The fixed-point iteration on the steered states; see optimal_povm_fixed_point.
+
+    A step reads only diag(M^{1/2}), M = B^T B for B = S diag(sqrt w).  On the
+    change-point chain (n >= 2, c = G[0, 1] in [0, 1) and G = S^T S within
+    1e-12 of max|G| of c^|i-j|, checked by ``_on_chain`` in row blocks) with
+    every positive prior at least 1e-100, ``gram._chain_root_diagonal`` gives
+    it and the states are not read.  Any other G, n = 1 or a positive prior
+    below 1e-100 takes one ``_steered_svd`` of B per step, the same rank cut
+    the POVM vectors make, and sums s_i V_ki^2 over the directions it keeps.
+    Returns (value, iterations, converged, weights, seed diagonal): the
+    steering weights of the returned iterate and diag(M^{1/2}) at weights =
+    priors, the square-root-measurement seed's.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -254,18 +267,19 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
     on_chain = (0.0 <= c < 1.0 and np.min(priors, where=priors > 0.0, initial=1.0) >= _CHAIN_MIN_PRIOR
                 and _on_chain(gram, c))
 
-    def overlaps_at(weights: np.ndarray) -> np.ndarray:
-        root_w = np.sqrt(weights)
+    def root_diagonal(weights: np.ndarray) -> np.ndarray:
         if on_chain:
-            diagonal = _chain_root_diagonal(weights, c)
-        else:
-            vals, vecs = np.linalg.eigh(root_w[:, np.newaxis] * gram * root_w)
-            diagonal = (vecs**2) @ np.sqrt(np.where(vals > _RANK_TOL * max(vals[-1], 0.0), vals, 0.0))
-        return np.divide(diagonal, root_w, out=np.zeros(n), where=weights > 0.0)
+            return _chain_root_diagonal(weights, c)
+        _, s, vt = _steered_svd(states, weights)
+        return s @ vt**2
+
+    def overlaps_at(diagonal: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return np.divide(diagonal, np.sqrt(weights), out=np.zeros(n), where=weights > 0.0)
 
     # square root measurement: steering weights equal to the priors
     weights = priors
-    overlaps = overlaps_at(weights)
+    seed_diagonal = root_diagonal(weights)
+    overlaps = overlaps_at(seed_diagonal, weights)
     success = float((priors * overlaps**2).sum())
     best, best_success = weights, success
 
@@ -274,7 +288,7 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
     for iterations in range(1, max_iter + 1):
         weights = (priors * overlaps) ** 2
         weights /= weights.max()
-        overlaps = overlaps_at(weights)
+        overlaps = overlaps_at(root_diagonal(weights), weights)
         new_success = float((priors * overlaps**2).sum())
         gain = new_success - success
         success = new_success
@@ -285,7 +299,7 @@ def _fixed_point(gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int
             break
     if not converged:
         weights, success = best, best_success
-    return success, iterations, converged, weights
+    return success, iterations, converged, weights, seed_diagonal
 
 
 def optimal_povm_fixed_point(
@@ -307,16 +321,17 @@ def optimal_povm_fixed_point(
     the value climbs from the square-root measurement's 0.907941693817 to
     0.908410104217 in 5 iterations.
 
-    The iteration runs in Gram form.  With steering weights w, scaled to max
-    1, B = S diag(sqrt w) and M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the
-    elements are E_k = g_k g_k^T with g = B M^{-1/2}, and
-    <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k), so a step reads only
-    diag(M^{1/2}).  When G = S^T S is the change-point Gram matrix (n >= 2,
-    c = G[0, 1] in [0, 1), G within 1e-12 of max|G| of c^|i-j|) and every
-    positive prior is at least 1e-100, a step is the O(n N) chain kernel and
-    no eigendecomposition; otherwise it is one n x n eigendecomposition of M.
-    The vectors g are formed when first read, from one thin SVD of B at the
-    returned steering weights: g = U V^T for B = U diag(s) V^T.
+    With steering weights w, scaled to max 1, B = S diag(sqrt w) and
+    M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the elements are E_k = g_k g_k^T
+    with g = B M^{-1/2}, and <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k), so a
+    step reads only diag(M^{1/2}).  When G = S^T S is the change-point Gram
+    matrix (n >= 2, c = G[0, 1] in [0, 1), G within 1e-12 of max|G| of
+    c^|i-j|) and every positive prior is at least 1e-100, a step is the
+    O(n N) chain kernel on G and no decomposition; otherwise it is one thin
+    SVD B = U diag(s) V^T, cut at 1e-12 of the largest singular value, and
+    (M^{1/2})_kk = sum_i s_i V_ki^2.  The vectors g = U V^T are formed when
+    first read, from one thin SVD of B at the returned steering weights with
+    the same cut, so they resolve the identity on the span the steps kept.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2:
@@ -327,9 +342,9 @@ def optimal_povm_fixed_point(
         gram = states.T @ states
     if not np.isfinite(gram).all():
         raise ValueError("states and their Gram matrix S^T S must be finite")
-    success, iterations, converged, weights = _fixed_point(gram, priors, tol, max_iter)
-    return PovmSolverResult(success_probability=success, iterations=iterations,
-                            converged=converged, _states=states, _weights=weights)
+    success, iterations, converged, weights, seed_diagonal = _fixed_point(states, gram, priors, tol, max_iter)
+    return PovmSolverResult(success_probability=success, iterations=iterations, converged=converged,
+                            _states=states, _weights=weights, _seed_diagonal=seed_diagonal)
 
 
 def collective_summary(
@@ -342,20 +357,22 @@ def collective_summary(
 
     No n x n root and no eigendecomposition: W = G/n has the eigenvalues
     lambda_l/n of G, so tr sqrt(W) and lambda_max come from the closed-form
-    spectrum, and diag sqrt(W) from the chain kernel at w = 1/n.  The solver
-    is fed the triangular Gram-Schmidt factor R of G, G = R^T R: row 1 of R
-    is row 1 of G, and row i >= 2 is sqrt(1-c^2) times the upper part of
-    row i of G.  So it runs on the chain core.
+    spectrum.  The solver is fed the triangular Gram-Schmidt factor R of G,
+    G = R^T R: row 1 of R is row 1 of G, and row i >= 2 is sqrt(1-c^2) times
+    the upper part of row i of G.  So it runs on the chain core, and its
+    square-root-measurement seed, the chain kernel at w = 1/n, is the
+    diag sqrt(W) that the bounds read: one kernel call per fixed-point step
+    and none besides.
     """
     spectrum = solve_spectrum(n, c)
     uniform = np.full(n, 1.0 / n)
-    lower, srm, upper = _bounds(n, float(np.sqrt(spectrum.lambdas / n).sum()),
-                                _chain_root_diagonal(uniform, c), float(spectrum.lambdas.max()) / n)
     # the public solver on R, not _fixed_point on G: perfbench/selftest.py
     # counts one traced optimal_povm_fixed_point call per sweep point
     factor = np.triu(_gram_view(n, c))
     factor[1:] *= math.sqrt((1.0 - c) * (1.0 + c))
     result = optimal_povm_fixed_point(factor, uniform, tol=tol, max_iter=max_iter)
+    lower, srm, upper = _bounds(n, float(np.sqrt(spectrum.lambdas / n).sum()),
+                                result._seed_diagonal, float(spectrum.lambdas.max()) / n)
     return CollectiveSummary(
         n=n,
         c=c,

@@ -344,12 +344,34 @@ class TestFixedPointSolver:
         assert_matches_state_space_reference(states, priors)
 
     @pytest.mark.parametrize("n, c2", [(150, 0.81), (149, 0.5), (2, 0.9999999999999999)])
-    def test_summary_runs_no_eigh(self, eigh_calls, n, c2):
+    def test_summary_runs_no_eigh(self, eigh_calls, svd_calls, n, c2):
         # timing-free guard on the chain core: the bounds come from the
         # closed-form spectrum and the chain kernel, the fixed point from the
         # chain core, and nothing reads the POVM vectors
         collective_summary(n, math.sqrt(c2))
-        assert eigh_calls == []
+        assert eigh_calls == [] and svd_calls == []
+
+    @pytest.mark.parametrize("n, c2", [(150, 0.5), (300, 0.9), (50, 0.1)])
+    def test_summary_runs_the_chain_kernel_once_per_step(self, monkeypatch, n, c2):
+        # the bounds read the solver's square-root-measurement seed, which
+        # a second kernel call at w = 1/n used to repeat bit for bit
+        kernel_calls, results = [], []
+        kernel, solver = collective_module._chain_root_diagonal, collective_module.optimal_povm_fixed_point
+
+        def counting_kernel(weights, c):
+            kernel_calls.append(c)
+            return kernel(weights, c)
+
+        def recording_solver(*args, **kwargs):
+            results.append(solver(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(collective_module, "_chain_root_diagonal", counting_kernel)
+        monkeypatch.setattr(collective_module, "optimal_povm_fixed_point", recording_solver)
+        summary = collective_summary(n, math.sqrt(c2))
+        assert len(results) == 1 and results[0].iterations > 1
+        assert len(kernel_calls) == results[0].iterations + 1
+        assert summary.srm == float((results[0]._seed_diagonal ** 2).sum())
 
     def test_chain_core_runs_no_eigh_until_vectors_are_read(self, eigh_calls, svd_calls):
         # the solve runs no decomposition; the vectors are one thin SVD of
@@ -380,27 +402,70 @@ class TestFixedPointSolver:
         rebuilt = float((priors * np.einsum("ik,ik->k", states, g) ** 2).sum())
         assert rebuilt == pytest.approx(result.success_probability, abs=1e-12)
 
-    def test_dense_core_runs_one_eigh_per_step(self, eigh_calls):
-        # the square-root-measurement seed and every iteration are one step
+    def test_dense_core_runs_one_svd_per_step(self, eigh_calls, svd_calls):
+        # the square-root-measurement seed and every iteration are one thin
+        # SVD of the steered states; the vectors take one more, when read
         n = 12
         states = np.random.default_rng(12).normal(size=(n, n))
         states /= np.linalg.norm(states, axis=0)
         result = optimal_povm_fixed_point(states, uniform(n))
         assert result.iterations > 1
-        assert eigh_calls == [n] * (result.iterations + 1)
+        assert eigh_calls == []
+        assert svd_calls == [(n, n)] * (result.iterations + 1)
+        result.vectors
+        assert eigh_calls == []
+        assert svd_calls == [(n, n)] * (result.iterations + 2)
+
+    @pytest.mark.parametrize("q", [1e-6, 1e-9, 1e-11])
+    def test_dense_core_keeps_the_element_of_a_small_prior(self, q):
+        # a step that cut the eigenvalues of M = B^T B at 1e-12 cut the
+        # singular values of B at 1e-6, where the vectors cut at 1e-12: the
+        # element of prior 1e-6 was dropped, sum g g^T missed I by 0.357 and
+        # the value fell 1.5e-6 below the dual bound
+        n = 6
+        states = np.random.default_rng(13).normal(size=(n, n))
+        states /= np.linalg.norm(states, axis=0)
+        priors = np.full(n, (1.0 - q) / (n - 1))
+        priors[2] = q
+        result = optimal_povm_fixed_point(states, priors, tol=1e-15)
+        g = result.vectors
+        assert np.abs(g @ g.T - np.eye(n)).max() <= 1e-13
+        bound = yuen_kennedy_lax_bound(states, priors, g)
+        assert bound - result.success_probability <= 1e-12
+
+    @pytest.mark.parametrize("case", ["dense", "chain-zero-prior", "prior-below-1e-100", "n=1"])
+    def test_no_solve_runs_eigh(self, eigh_calls, svd_calls, case):
+        # timing-free guard on both cores: the chain core runs the kernel,
+        # the dense core and the vectors one thin SVD each, of a
+        # rectangular B too
+        if case == "dense":
+            states = np.random.default_rng(12).normal(size=(8, 5))
+            states /= np.linalg.norm(states, axis=0)
+            priors = uniform(5)
+        elif case == "n=1":
+            states, priors = np.array([[0.6], [0.8]]), np.array([1.0])
+        else:
+            states = gram_schmidt_factor(6, 0.6)
+            priors = np.full(6, 0.2)
+            priors[2] = 0.0 if case == "chain-zero-prior" else 1e-120
+            priors /= priors.sum()
+        result = optimal_povm_fixed_point(states, priors)
+        result.vectors
+        assert eigh_calls == []
+        steps = 0 if case == "chain-zero-prior" else result.iterations + 1
+        assert len(svd_calls) == steps + 1
 
     @pytest.mark.parametrize("priors", [
         [0.3, 0.0, 0.4, 0.3],
         # reversal-symmetric, which an earlier solver split into halves
         [0.2, 0.0, 0.3, 0.3, 0.0, 0.2],
     ])
-    def test_zero_priors_on_the_chain_take_the_chain_core(self, eigh_calls, priors):
+    def test_zero_priors_on_the_chain_take_the_chain_core(self, svd_calls, priors):
         priors = np.array(priors)
         n = priors.size
         states = embed_states(build_gram(n, 0.6))
-        eigh_calls.clear()
         optimal_povm_fixed_point(states, priors)
-        assert eigh_calls == []
+        assert svd_calls == []
         assert_matches_state_space_reference(states, priors)
 
     @pytest.mark.parametrize("c2", [0.5, 0.99, 1 - 1e-10, 0.9999999999999999])
@@ -428,7 +493,7 @@ class TestFixedPointSolver:
         value, _, _, _ = state_space_fixed_point(states, priors)
         assert result.success_probability == pytest.approx(value, abs=1e-12)
 
-    def test_prior_at_the_chain_threshold_keeps_its_element(self, eigh_calls):
+    def test_prior_at_the_chain_threshold_keeps_its_element(self, svd_calls):
         # the element w_k R^{-1} |psi_k><psi_k| R^{-1} is nonzero exactly when
         # its steering weight p^2 o^2 is: at the least prior the chain core
         # takes that must not underflow, as 1e-200, the threshold of p o^2
@@ -437,9 +502,8 @@ class TestFixedPointSolver:
         priors = np.full(n, (1.0 - smallest) / (n - 1))
         priors[2] = smallest
         states = embed_states(build_gram(n, 0.6))
-        eigh_calls.clear()
         result = optimal_povm_fixed_point(states, priors)
-        assert eigh_calls == []
+        assert svd_calls == []
         assert result.converged
         assert result._weights[2] > 0.0
 
@@ -483,10 +547,11 @@ class TestFixedPointSolver:
     def test_chain_test_forms_no_n_by_n_temporary(self):
         # comparing G with a full build_gram(n, c) peaked at 64 MB at n = 2000;
         # the chain kernel itself needs about 2 MB
-        gram = build_gram(2000, math.sqrt(0.9))
+        c = math.sqrt(0.9)
+        states, gram = gram_schmidt_factor(2000, c), build_gram(2000, c)
         tracemalloc.start()
         try:
-            _, _, converged, _ = collective_module._fixed_point(gram, uniform(2000), 1e-10, 10_000)
+            _, _, converged, _, _ = collective_module._fixed_point(states, gram, uniform(2000), 1e-10, 10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -495,7 +560,7 @@ class TestFixedPointSolver:
 
     @pytest.mark.parametrize("row", [0, 5, 9])
     @pytest.mark.parametrize("departure, chain", [(0.5e-12, True), (2e-12, False)])
-    def test_chain_test_reads_every_row_block(self, monkeypatch, eigh_calls, row, departure, chain):
+    def test_chain_test_reads_every_row_block(self, monkeypatch, svd_calls, row, departure, chain):
         # blocks of 4 rows at n = 10: a departure from c^|i-j| decides the
         # core wherever it lies, against 1e-12 of max|G|
         monkeypatch.setattr(collective_module, "_CHAIN_TEST_BLOCK", 40)
@@ -503,8 +568,8 @@ class TestFixedPointSolver:
         column = 3 if row != 3 else 4
         gram[row, column] += departure
         gram[column, row] += departure
-        collective_module._fixed_point(gram, uniform(10), 1e-10, 10_000)
-        assert (eigh_calls == []) == chain
+        collective_module._fixed_point(gram_schmidt_factor(10, 0.6), gram, uniform(10), 1e-10, 10_000)
+        assert (svd_calls == []) == chain
 
     def test_tol_validation(self):
         with pytest.raises(ValueError):
