@@ -5,24 +5,28 @@ posterior and guess its maximum: the computational basis (basic local),
 whose guess is the first click or n, and the optimal two-state measurement
 between the default and mutated states for the current posterior (greedy).
 A strategy is only its per-step click probabilities; _STRATEGIES names
-them.  One seeded, counter-based Monte Carlo loop runs both, carrying the
-posterior as (tail weight, best weight, best index), normalised so the
-larger weight is 1, so a trial costs O(n).  simulate_trial replays a trial
-on the full posterior from per-k click probabilities.  Its greedy step,
-_greedy_click_probabilities, is built from helstrom_measurement and
-nothing the engine uses, and exact_greedy_enumeration walks both of its
-outcomes for small n; the engine is tested against both.  Trials run in
-ceil(trials / 16384) chunks of nearly equal size, and a chunk of m trials
-holds a few length-m arrays; only iter_trial_records asks the engine for
-the chunk's (m x n) outcome bytes, and reads them in place.  No chunk's
-arrays stay alive while the next one runs.  The (n, c) rule is gram's
-_check_overlap, and trials, base_seed and a replay's true_k pass its
-_integer check.  A posterior left with no mass after a sampled outcome
-raises ImpossibleOutcomeError.
+them.  One seeded, counter-based Monte Carlo loop runs both.  It carries
+the posterior as (tail weight, best weight, best index), normalised so the
+larger weight is 1, and those weights take few distinct values: a chunk
+steps a lazily grown automaton of them, so the kernel and the Bayes update
+run once per posterior state (2 for basic; at most n for greedy on every
+overlap tested), and a trial's step is a uniform, a few table gathers and
+a compare.  simulate_trial replays a trial on the full posterior from
+per-k click probabilities.  Its greedy step, _greedy_click_probabilities,
+is built from helstrom_measurement and nothing the engine uses, and
+exact_greedy_enumeration walks both of its outcomes for small n; the
+engine is tested against both.  Trials run in ceil(trials / 16384) chunks
+of nearly equal size, and a chunk of m trials holds a few length-m arrays;
+only iter_trial_records asks the engine for the chunk's (m x n) outcome
+bytes, and reads them in place.  No chunk's arrays stay alive while the
+next one runs.  The (n, c) rule is gram's _check_overlap, and trials,
+base_seed and a replay's true_k pass its _integer check.  A posterior left
+with no mass after a sampled outcome raises ImpossibleOutcomeError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, NamedTuple
 
@@ -211,7 +215,9 @@ def _outcome_phi_likelihoods(p0, c: float):
 
     Returns (a, b) with a = <0|P_phi|0> and b = <phi|P_phi|phi> for the
     measurement that projects onto the strictly positive subspace of
-    |phi><phi| - p0 |0><0|, p0 being the engine's normalised tail weight.
+    |phi><phi| - p0 |0><0|, p0 being a normalised tail weight: the engine
+    passes the array of tail weights of the posterior states its trials
+    first reach at a step (possibly empty), and 0.0 at the last step.
     disc = sqrt(d^2 + h^2) with d = c^2 - p0 - s2 and h = 2 c sqrt(s2) is
     written out rather than taken from hypot, which costs ten times more: p0
     and c lie in [0, 1], so |d| <= 2 and h <= 1 and neither square can
@@ -220,7 +226,7 @@ def _outcome_phi_likelihoods(p0, c: float):
     may sit one ulp from hypot's value; the tests check the seeded streams
     against recorded ones.  Rounding can put a one ulp below 0 (at c = 0) or
     b one ulp above 1 (c near 1, or p0 near 0), so both are clamped into
-    [0, 1]; p0 may be an array or, at the last step, a float.
+    [0, 1].
     """
     s2 = 1.0 - c * c
     g00 = c * c - p0
@@ -233,37 +239,159 @@ def _outcome_phi_likelihoods(p0, c: float):
     return a, b
 
 
+def _per_state(likelihood, count: int) -> list:
+    # a kernel may return one float for every state (basic does)
+    return likelihood.tolist() if np.ndim(likelihood) else [float(likelihood)] * count
+
+
+class _PosteriorAutomaton:
+    """The distinct normalised posteriors a chunk's trials reach, grown as they reach them.
+
+    Before step s a trial's posterior is (tail, best, best index) scaled so
+    that the larger weight is 1.  What happens next depends only on the tail
+    weight and the lead flag best < tail, and not on s (the last step
+    aside), so a state is keyed by the tail's exact value (its hex form) and
+    the flag.  State i owns rows 4i .. 4i+3 of three tables, and a trial
+    sits at row 4i, or 4i + 2 once its particle s is mutated: thresholds
+    holds a there (b at the mutated row), lead the flag, and successors,
+    read at the row plus the click bit, the row the trial moves to, its
+    mutated offset kept.  Each state's (a, b) and successors are computed
+    once, with the IEEE operations of the per-trial update.  A successor
+    no trial has reached yet is a negative code, -4f - 4 (or -4f - 2 once
+    mutated) for fresh[f]: it becomes a state only when a trial lands on
+    it, and fresh[f] is None for an outcome that leaves the posterior no
+    mass.
+    """
+
+    def __init__(self):
+        self.thresholds = np.empty(8)
+        self.successors = np.empty(8, dtype=np.intp)
+        self.lead = np.empty(8, dtype=np.int64)
+        self.tails: list[float] = []
+        self.expanded = 0  # states whose (a, b) and successors are known
+        self.keys: dict = {}  # key -> row, or code while fresh
+        self.fresh: list = []  # (key, tail) or None, per fresh index
+        self.waiting: list[list[int]] = []  # successor entries holding each code
+        self.code_rows = np.empty(8, dtype=np.intp)  # -code -> row, once resolved
+        self.unresolved = 0
+        # the prior: tail 1 against a best weight of 0
+        self.keys[(1.0).hex(), True] = self._add(1.0, True)
+
+    def _add(self, tail: float, lead: bool) -> int:
+        row = 4 * len(self.tails)
+        if row == self.lead.size:
+            self.thresholds = np.concatenate([self.thresholds, self.thresholds])
+            self.successors = np.concatenate([self.successors, self.successors])
+            self.lead = np.concatenate([self.lead, self.lead])
+        self.lead[row:row + 4] = lead
+        self.tails.append(tail)
+        return row
+
+    def _code(self, best: float, tail: float) -> int:
+        # the update's max, scale check and division on one (best, tail);
+        # the max propagates NaN, as np.maximum does
+        entry = None
+        if best == best and tail == tail:
+            scale = best if best >= tail else tail
+            if scale > 0.0:
+                tail /= scale
+                entry = ((tail.hex(), best / scale < tail), tail)
+        key = entry and entry[0]
+        code = self.keys.get(key)
+        if code is None:
+            code = self.keys[key] = -4 * len(self.fresh) - 4
+            if -code >= self.code_rows.size:
+                self.code_rows = np.concatenate([self.code_rows, self.code_rows])
+            self.fresh.append(entry)
+            self.waiting.append([])
+            self.unresolved += 1
+        return code
+
+    def expand(self, likelihoods, c: float) -> None:
+        """Click probabilities and successors of the states first reached this step."""
+        start = self.expanded
+        p0 = np.array(self.tails[start:])
+        count = p0.size
+        a, b = likelihoods(p0, c)
+        for row, tail, a_i, b_i in zip(range(4 * start, 4 * (start + count), 4), p0.tolist(),
+                                       _per_state(a, count), _per_state(b, count)):
+            self.thresholds[row] = a_i
+            self.thresholds[row + 2] = b_i
+            for clicked, best, new_tail in ((0, 1.0 - b_i, tail * (1.0 - a_i)), (1, b_i, tail * a_i)):
+                code = self._code(best, new_tail)
+                self.successors[row + clicked] = code
+                self.successors[row + 2 + clicked] = code + 2
+                if code < 0:
+                    self.waiting[-code // 4 - 1] += (row + clicked, row + 2 + clicked)
+        self.expanded = start + count
+
+    def resolve(self, rows: np.ndarray, step: int) -> None:
+        """Turn the codes the trials landed on at step into states, and rows."""
+        landed = np.flatnonzero(rows < 0)
+        codes = np.negative(rows[landed])  # 4f + 4, or 4f + 2 once mutated
+        for f in {(code - 1) >> 2 for code in np.flatnonzero(np.bincount(codes)).tolist()}:
+            if self.fresh[f] is None:
+                raise ImpossibleOutcomeError(
+                    f"posterior has zero or undefined mass after the outcome sampled at step {step}")
+            key, tail = self.fresh[f]
+            row = self.keys[key] = self._add(tail, key[1])
+            self.code_rows[4 * f + 4] = row
+            self.code_rows[4 * f + 2] = row + 2
+            for entry in self.waiting[f]:
+                self.successors[entry] = self.code_rows[-self.successors[entry]]
+            self.unresolved -= 1
+        rows[landed] = self.code_rows[codes]
+
+
 def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods, record: bool):
     # All k >= s have seen identical factors and all k < s share each step's,
-    # so (tail of k >= s, best of k < s, its index) suffices.  Both are divided
-    # by their maximum after every step, so the larger is exactly 1.0 and the
-    # step depends on the tail weight p0 alone.  The (m x n) outcome bytes are
-    # kept only when record is set; otherwise the third result is None.
+    # so (tail of k >= s, best of k < s, its index) suffices, and scaled so
+    # the larger weight is 1 it takes few values: each trial carries only its
+    # row in a _PosteriorAutomaton and its best index.  A step is a uniform,
+    # three table gathers and a compare per trial; every gather index is in
+    # range, so mode="clip" only spares take a buffered copy.  The (m x n)
+    # outcome bytes are kept only when record is set; otherwise the third
+    # result is None.
     m = seeds.shape[0]
     true_k = _draw_true_k(n, seeds)
-    tail = np.ones(m)
-    best = np.zeros(m)
     best_idx = np.zeros(m, dtype=np.int64)
     outcomes = np.empty((m, n), dtype=np.uint8) if record else None
+    # the trials grouped by change point: a trial's row moves by 2 at step true_k
+    by_change = np.argsort(true_k)
+    group_ends = np.cumsum(np.bincount(true_k, minlength=n + 1)).tolist()
+    states = _PosteriorAutomaton()
+    rows = np.zeros(m, dtype=np.intp)
+    index = np.empty(m, dtype=np.intp)
+    lead_step = np.empty(m, dtype=np.int64)
+    threshold = np.empty(m)
+    clicked = np.empty(m, dtype=bool)
     for s in range(1, n + 1):
+        rows[by_change[group_ends[s - 1]:group_ends[s]]] += 2
+        if states.unresolved and rows.min() < 0:
+            states.resolve(rows, s - 1)
+        if s == n:
+            break
+        states.expand(likelihoods, c)
         # strict: ties keep the smaller index, like argmax.  best_idx <= s - 1
-        # here and never decreases, so the maximum writes s exactly where
-        # best < tail and leaves every other entry as it was
-        np.maximum(best_idx, (best < tail) * s, out=best_idx)
-        a, b = likelihoods(tail if s < n else 0.0, c)
-        u = uniform_array(seeds, s)
-        mutated = true_k <= s
-        clicked = (mutated & (u < b)) | (~mutated & (u < a))
-        best = np.where(clicked, b, 1.0 - b)
-        tail *= np.where(clicked, a, 1.0 - a)
-        scale = np.maximum(best, tail) if s < n else best
-        if not np.all(scale > 0.0):
-            raise ImpossibleOutcomeError(
-                f"posterior has zero or undefined mass after the outcome sampled at step {s}")
-        best /= scale
-        tail /= scale
+        # here and never decreases, so the maximum writes s exactly where the
+        # state leads and leaves every other entry as it was
+        np.maximum(best_idx, (states.lead * s).take(rows, out=lead_step, mode="clip"), out=best_idx)
+        states.thresholds.take(rows, out=threshold, mode="clip")
+        np.less(uniform_array(seeds, s), threshold, out=clicked)
         if record:
             outcomes[:, s - 1] = clicked
+        np.add(rows, clicked, out=index)
+        states.successors.take(index, out=rows, mode="clip")
+    # the last step has no tail: its measurement is the kernel's at p0 = 0,
+    # every particle is mutated, and only the best weight must keep mass
+    np.maximum(best_idx, (states.lead * n).take(rows, out=lead_step, mode="clip"), out=best_idx)
+    a, b = likelihoods(0.0, c)
+    np.less(uniform_array(seeds, n), b, out=clicked)
+    if record:
+        outcomes[:, n - 1] = clicked
+    if not np.all(np.where(clicked, b, 1.0 - b) > 0.0):
+        raise ImpossibleOutcomeError(
+            f"posterior has zero or undefined mass after the outcome sampled at step {n}")
     return true_k, best_idx, outcomes
 
 
@@ -328,7 +456,8 @@ def iter_trial_records(
         # nothing else, so it turns into ASCII '0'/'1' in place: one n-byte
         # string per trial, decoded only as its record is taken
         outcomes += ord("0")
-        yield from map(TrialRecord._make, zip(
+        # tuple.__new__ builds each record in C; _make is a Python call per trial
+        yield from map(tuple.__new__, itertools.repeat(TrialRecord), zip(
             true_k.tolist(),
             guess.tolist(),
             map(bytes.decode, outcomes.view(f"S{n}").ravel()),

@@ -17,7 +17,7 @@ from qchangepoint.online import (
     qubit_pair,
     simulate_trial,
 )
-from qchangepoint.rng import CounterRng, trial_seed, trial_seed_array
+from qchangepoint.rng import CounterRng, trial_seed, trial_seed_array, uniform_array
 
 
 class FixedRng:
@@ -29,6 +29,43 @@ class FixedRng:
 
     def uniform(self, step: int) -> float:
         return self.value
+
+
+def _reference_chunk(n, c, seeds, likelihoods, record):
+    """The per-trial engine the automaton replaced, kept as its bitwise reference.
+
+    It carries (tail, best, best index) for every trial and runs the kernel
+    and the Bayes update on the whole chunk at every step.
+    """
+    m = seeds.shape[0]
+    true_k = online_module._draw_true_k(n, seeds)
+    tail = np.ones(m)
+    best = np.zeros(m)
+    best_idx = np.zeros(m, dtype=np.int64)
+    outcomes = np.empty((m, n), dtype=np.uint8) if record else None
+    for s in range(1, n + 1):
+        np.maximum(best_idx, (best < tail) * s, out=best_idx)
+        a, b = likelihoods(tail if s < n else 0.0, c)
+        u = uniform_array(seeds, s)
+        mutated = true_k <= s
+        clicked = (mutated & (u < b)) | (~mutated & (u < a))
+        best = np.where(clicked, b, 1.0 - b)
+        tail *= np.where(clicked, a, 1.0 - a)
+        scale = np.maximum(best, tail) if s < n else best
+        if not np.all(scale > 0.0):
+            raise ImpossibleOutcomeError(
+                f"posterior has zero or undefined mass after the outcome sampled at step {s}")
+        best /= scale
+        tail /= scale
+        if record:
+            outcomes[:, s - 1] = clicked
+    return true_k, best_idx, outcomes
+
+
+# c = 1e-200 squares to zero; the last overlap is one ulp below 1
+ENGINE_OVERLAPS = [0.0, 1e-200, math.sqrt(0.05), math.sqrt(0.5), math.sqrt(0.9),
+                   math.sqrt(0.999999), math.nextafter(1.0, 0.0)]
+KERNELS = {"basic": "_basic_likelihoods", "greedy": "_outcome_phi_likelihoods"}
 
 
 class TestQubitPair:
@@ -172,7 +209,8 @@ class TestStepKernels:
     def test_engine_feeds_normalised_tail_weights(self, monkeypatch, c2):
         # the kernel needs no division guard because p0 is the tail weight
         # over a best weight of exactly 1: it lies in [0, 1], and the last
-        # step has no tail at all
+        # step has no tail at all.  Each step passes the tail weights of the
+        # states first reached at that step, which may be none
         n, seen = 12, []
         kernel = online_module._outcome_phi_likelihoods
 
@@ -184,8 +222,9 @@ class TestStepKernels:
         monte_carlo("greedy", n, math.sqrt(c2), 3000, 17)
         assert len(seen) == n
         for p0 in seen[:-1]:
-            assert p0.min() >= 0.0 and p0.max() <= 1.0
-        np.testing.assert_array_equal(seen[0], 1.0)
+            assert p0.ndim == 1
+            assert np.all((p0 >= 0.0) & (p0 <= 1.0))
+        np.testing.assert_array_equal(seen[0], [1.0])
         assert seen[-1] == 0.0
 
 
@@ -360,9 +399,9 @@ class TestMonteCarloHarness:
 
         monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", flat_likelihoods)
         records = list(iter_trial_records("greedy", 5, 0.5, 200, 3))
-        # p0 is the tail weight over the best, so a tie reads 1 at steps 2 .. n-1
-        for p0 in seen[1:4]:
-            np.testing.assert_array_equal(p0, np.ones(200))
+        # p0 is the tail weight over the best, so the tie is one state, first
+        # reached at step 2, whose tail weight reads exactly 1
+        np.testing.assert_array_equal(np.concatenate(seen[1:4]), [1.0])
         assert [r.guess for r in records] == [1] * 200
 
     def test_undefined_posterior_raises(self, monkeypatch):
@@ -374,6 +413,72 @@ class TestMonteCarloHarness:
         monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", nan_b)
         with pytest.raises(ImpossibleOutcomeError, match="at step 1$"):
             monte_carlo("greedy", 5, 0.6, 100, 1)
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_undefined_posterior_after_step_1_names_the_reference_step(self, monkeypatch, n):
+        # the mutated click probability turns NaN once the tail weight leaves
+        # 1, so the first outcomes are defined and a later one is not
+        kernel = online_module._outcome_phi_likelihoods
+
+        def nan_b_off_the_prior(p0, c):
+            a, b = kernel(p0, c)
+            return a, np.where(np.asarray(p0) == 1.0, b, np.nan)
+
+        messages = []
+        for chunk in (_reference_chunk, online_module._simulate_chunk):
+            monkeypatch.setattr(online_module, "_simulate_chunk", chunk)
+            monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", nan_b_off_the_prior)
+            with pytest.raises(ImpossibleOutcomeError) as error:
+                monte_carlo("greedy", n, math.sqrt(0.5), 500, 1)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert not messages[1].endswith("at step 1")
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("base_seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("strategy", ["basic", "greedy"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 50, 300])
+    def test_engine_matches_reference_bitwise(self, n, strategy, base_seed, record):
+        # the automaton runs the reference's IEEE operations once per state,
+        # so (true_k, best index, outcome bytes) agree bit for bit
+        likelihoods = getattr(online_module, KERNELS[strategy])
+        seeds = trial_seed_array(base_seed, np.arange(1000))
+        for c in ENGINE_OVERLAPS:
+            got = online_module._simulate_chunk(n, c, seeds, likelihoods, record)
+            want = _reference_chunk(n, c, seeds, likelihoods, record)
+            for got_part, want_part in zip(got, want):
+                np.testing.assert_array_equal(got_part, want_part)
+                if want_part is not None:
+                    assert got_part.dtype == want_part.dtype
+
+    def test_engine_matches_reference_bitwise_at_n_2000(self):
+        likelihoods = online_module._outcome_phi_likelihoods
+        seeds = trial_seed_array(9, np.arange(500))
+        got = online_module._simulate_chunk(2000, math.sqrt(0.9), seeds, likelihoods, True)
+        want = _reference_chunk(2000, math.sqrt(0.9), seeds, likelihoods, True)
+        for got_part, want_part in zip(got, want):
+            np.testing.assert_array_equal(got_part, want_part)
+
+    @pytest.mark.parametrize("n", [12, 50, 300])
+    @pytest.mark.parametrize("strategy", ["basic", "greedy"])
+    def test_automaton_stays_small(self, monkeypatch, strategy, n):
+        # the speed rests on this: the kernel sees each distinct posterior
+        # once, and a chunk of 16384 trials reaches at most n of them (greedy)
+        # or 2 (basic: before and after the first click)
+        name = KERNELS[strategy]
+        kernel = getattr(online_module, name)
+        states = []
+
+        def counting(p0, c):
+            if np.ndim(p0):
+                states[-1] += np.size(p0)
+            return kernel(p0, c)
+
+        monkeypatch.setattr(online_module, name, counting)
+        for c in ENGINE_OVERLAPS:
+            states.append(0)
+            monte_carlo(strategy, n, c, 16384, 5)
+            assert 1 <= states[-1] <= (n if strategy == "greedy" else 2), c
 
     def test_basic_memory_at_n_2000(self):
         # a chunk holds n outcome bytes and a few scalars per trial, no
