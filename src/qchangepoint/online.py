@@ -8,11 +8,11 @@ A strategy is only its per-step click probabilities; _STRATEGIES names
 them.  One seeded, counter-based Monte Carlo loop runs both.  It carries
 the posterior as (tail weight, best weight, best index), normalised so the
 larger weight is 1, and those weights take few distinct values: a chunk
-steps a lazily grown automaton of them, so the kernel and the Bayes update
-run once per posterior state (2 for basic; at most n for greedy on every
-overlap tested), and a trial's step is a uniform, a few table gathers and
-a compare.  simulate_trial replays a trial on the full posterior from
-per-k click probabilities.  Its greedy step, _greedy_click_probabilities,
+steps a lazily grown automaton of them, whose states run the kernel and
+the Bayes update once, the first step a trial sits on one (2 states for
+basic; at most n for greedy on every overlap tested), and a trial's step
+is a uniform, a few table gathers and a compare.  simulate_trial replays
+a trial on the full posterior from per-k click probabilities.  Its greedy step, _greedy_click_probabilities,
 is built from helstrom_measurement and nothing the engine uses, and
 exact_greedy_enumeration walks both of its outcomes for small n; the
 engine is tested against both.  Trials run in ceil(trials / 16384) chunks
@@ -206,8 +206,8 @@ def _draw_true_k(n: int, seeds: np.ndarray) -> np.ndarray:
 
 
 def _basic_likelihoods(p0, c: float):
-    """Click probabilities (a, b) of the computational-basis projector |1><1|."""
-    return 0.0, 1.0 - c * c
+    """Click probabilities (a, b), shaped like p0, of the computational-basis projector |1><1|."""
+    return np.zeros_like(p0), np.full_like(p0, 1.0 - c * c)
 
 
 def _outcome_phi_likelihoods(p0, c: float):
@@ -217,7 +217,8 @@ def _outcome_phi_likelihoods(p0, c: float):
     measurement that projects onto the strictly positive subspace of
     |phi><phi| - p0 |0><0|, p0 being a normalised tail weight: the engine
     passes the array of tail weights of the posterior states its trials
-    first reach at a step (possibly empty), and 0.0 at the last step.
+    sit on for the first time at a step, never empty, and 0.0 at the last
+    step.
     disc = sqrt(d^2 + h^2) with d = c^2 - p0 - s2 and h = 2 c sqrt(s2) is
     written out rather than taken from hypot, which costs ten times more: p0
     and c lie in [0, 1], so |d| <= 2 and h <= 1 and neither square can
@@ -239,9 +240,9 @@ def _outcome_phi_likelihoods(p0, c: float):
     return a, b
 
 
-def _per_state(likelihood, count: int) -> list:
-    # a kernel may return one float for every state (basic does)
-    return likelihood.tolist() if np.ndim(likelihood) else [float(likelihood)] * count
+# a power of two above every row: row - _MARK is row, marked, and
+# & (_MARK - 1) takes the mark off
+_MARK = 1 << 40
 
 
 class _PosteriorAutomaton:
@@ -251,96 +252,90 @@ class _PosteriorAutomaton:
     that the larger weight is 1.  What happens next depends only on the tail
     weight and the lead flag best < tail, and not on s (the last step
     aside), so a state is keyed by the tail's exact value (its hex form) and
-    the flag.  State i owns rows 4i .. 4i+3 of three tables, and a trial
+    the flag.  State i owns rows 4i .. 4i+3 of four tables, and a trial
     sits at row 4i, or 4i + 2 once its particle s is mutated: thresholds
     holds a there (b at the mutated row), lead the flag, and successors,
     read at the row plus the click bit, the row the trial moves to, its
-    mutated offset kept.  Each state's (a, b) and successors are computed
-    once, with the IEEE operations of the per-trial update.  A successor
-    no trial has reached yet is a negative code, -4f - 4 (or -4f - 2 once
-    mutated) for fresh[f]: it becomes a state only when a trial lands on
-    it, and fresh[f] is None for an outcome that leaves the posterior no
-    mass.
+    mutated offset kept.  A state is created, with its tail and flag, when
+    a state that leads to it is expanded, and is expanded the first step a
+    trial sits on it: its (a, b) and successors are computed then, once,
+    with the IEEE operations of the per-trial update.  marks holds -_MARK on
+    the rows of an unexpanded state and 0 once it is expanded, and every
+    successor entry carries the mark of the row it names, so a trial that
+    steps onto an unexpanded state gets a negative row.  State 0 is the
+    prior, where every trial starts, and state 1 the sink that an outcome
+    leaving the posterior no mass leads to; the sink is never expanded.
     """
 
-    def __init__(self):
-        self.thresholds = np.empty(8)
-        self.successors = np.empty(8, dtype=np.intp)
-        self.lead = np.empty(8, dtype=np.int64)
+    def __init__(self, likelihoods, c: float):
+        self.likelihoods, self.c = likelihoods, c
+        self.thresholds = np.zeros(8)
+        self.successors = np.zeros(8, dtype=np.intp)
+        self.lead = np.zeros(8, dtype=np.int64)
+        self.marks = np.zeros(8, dtype=np.intp)
         self.tails: list[float] = []
-        self.expanded = 0  # states whose (a, b) and successors are known
-        self.keys: dict = {}  # key -> row, or code while fresh
-        self.fresh: list = []  # (key, tail) or None, per fresh index
-        self.waiting: list[list[int]] = []  # successor entries holding each code
-        self.code_rows = np.empty(8, dtype=np.intp)  # -code -> row, once resolved
-        self.unresolved = 0
-        # the prior: tail 1 against a best weight of 0
+        self.keys: dict = {}  # key -> row
+        # the prior, tail 1 against a best weight of 0, and the sink; every
+        # trial starts on the prior, so it is expanded at once
         self.keys[(1.0).hex(), True] = self._add(1.0, True)
+        self.keys[None] = self._add(math.nan, False)
+        self.expand([0])
 
     def _add(self, tail: float, lead: bool) -> int:
         row = 4 * len(self.tails)
         if row == self.lead.size:
-            self.thresholds = np.concatenate([self.thresholds, self.thresholds])
-            self.successors = np.concatenate([self.successors, self.successors])
-            self.lead = np.concatenate([self.lead, self.lead])
+            self.thresholds, self.successors, self.lead, self.marks = (
+                np.concatenate([table, np.zeros_like(table)])
+                for table in (self.thresholds, self.successors, self.lead, self.marks))
         self.lead[row:row + 4] = lead
+        self.marks[row:row + 4] = -_MARK
         self.tails.append(tail)
         return row
 
-    def _code(self, best: float, tail: float) -> int:
+    def _successor(self, best: float, tail: float) -> int:
         # the update's max, scale check and division on one (best, tail);
         # the max propagates NaN, as np.maximum does
-        entry = None
+        key = None
         if best == best and tail == tail:
             scale = best if best >= tail else tail
             if scale > 0.0:
                 tail /= scale
-                entry = ((tail.hex(), best / scale < tail), tail)
-        key = entry and entry[0]
-        code = self.keys.get(key)
-        if code is None:
-            code = self.keys[key] = -4 * len(self.fresh) - 4
-            if -code >= self.code_rows.size:
-                self.code_rows = np.concatenate([self.code_rows, self.code_rows])
-            self.fresh.append(entry)
-            self.waiting.append([])
-            self.unresolved += 1
-        return code
-
-    def expand(self, likelihoods, c: float) -> None:
-        """Click probabilities and successors of the states first reached this step."""
-        start = self.expanded
-        p0 = np.array(self.tails[start:])
-        count = p0.size
-        a, b = likelihoods(p0, c)
-        for row, tail, a_i, b_i in zip(range(4 * start, 4 * (start + count), 4), p0.tolist(),
-                                       _per_state(a, count), _per_state(b, count)):
-            self.thresholds[row] = a_i
-            self.thresholds[row + 2] = b_i
-            for clicked, best, new_tail in ((0, 1.0 - b_i, tail * (1.0 - a_i)), (1, b_i, tail * a_i)):
-                code = self._code(best, new_tail)
-                self.successors[row + clicked] = code
-                self.successors[row + 2 + clicked] = code + 2
-                if code < 0:
-                    self.waiting[-code // 4 - 1] += (row + clicked, row + 2 + clicked)
-        self.expanded = start + count
-
-    def resolve(self, rows: np.ndarray, step: int) -> None:
-        """Turn the codes the trials landed on at step into states, and rows."""
-        landed = np.flatnonzero(rows < 0)
-        codes = np.negative(rows[landed])  # 4f + 4, or 4f + 2 once mutated
-        for f in {(code - 1) >> 2 for code in np.flatnonzero(np.bincount(codes)).tolist()}:
-            if self.fresh[f] is None:
-                raise ImpossibleOutcomeError(
-                    f"posterior has zero or undefined mass after the outcome sampled at step {step}")
-            key, tail = self.fresh[f]
+                key = (tail.hex(), best / scale < tail)
+        row = self.keys.get(key)
+        if row is None:
             row = self.keys[key] = self._add(tail, key[1])
-            self.code_rows[4 * f + 4] = row
-            self.code_rows[4 * f + 2] = row + 2
-            for entry in self.waiting[f]:
-                self.successors[entry] = self.code_rows[-self.successors[entry]]
-            self.unresolved -= 1
-        rows[landed] = self.code_rows[codes]
+        return row
+
+    def enter(self, rows: np.ndarray, step: int) -> list[int]:
+        """Take the marks off the trials' rows after the outcome sampled at
+        step, and return the states they marked."""
+        landed = (rows < 0).nonzero()[0]
+        arrived = rows[landed] + _MARK
+        rows[landed] = arrived
+        reached = np.bincount(arrived >> 2, minlength=2)
+        if reached[1]:
+            raise ImpossibleOutcomeError(
+                f"posterior has zero or undefined mass after the outcome sampled at step {step}")
+        return reached.nonzero()[0].tolist()
+
+    def expand(self, states: list[int]) -> None:
+        """Click probabilities and successors of unexpanded states; each
+        successor not yet keyed becomes a state."""
+        tails = [self.tails[state] for state in states]
+        a, b = self.likelihoods(np.array(tails), self.c)
+        for state, tail, a_i, b_i in zip(states, tails, a.tolist(), b.tolist()):
+            row = 4 * state
+            self.thresholds[row:row + 3:2] = a_i, b_i
+            no_click = self._successor(1.0 - b_i, tail * (1.0 - a_i))
+            click = self._successor(b_i, tail * a_i)
+            self.successors[row:row + 4] = no_click, click, no_click + 2, click + 2
+            self.marks[row:row + 4] = 0
+        # one pass gives every entry the mark of the state it names
+        table = self.successors[:4 * len(self.tails)]
+        np.bitwise_and(table, _MARK - 1, out=table)
+        table += self.marks.take(table)
+        # whether a trial can step onto an unexpanded state
+        self.marked = table.min() < 0
 
 
 def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods, record: bool):
@@ -359,19 +354,20 @@ def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods, record: bo
     # the trials grouped by change point: a trial's row moves by 2 at step true_k
     by_change = np.argsort(true_k)
     group_ends = np.cumsum(np.bincount(true_k, minlength=n + 1)).tolist()
-    states = _PosteriorAutomaton()
-    rows = np.zeros(m, dtype=np.intp)
+    states = _PosteriorAutomaton(likelihoods, c)
+    rows = np.zeros(m, dtype=np.intp)  # the prior
     index = np.empty(m, dtype=np.intp)
     lead_step = np.empty(m, dtype=np.int64)
     threshold = np.empty(m)
     clicked = np.empty(m, dtype=bool)
     for s in range(1, n + 1):
         rows[by_change[group_ends[s - 1]:group_ends[s]]] += 2
-        if states.unresolved and rows.min() < 0:
-            states.resolve(rows, s - 1)
+        if states.marked and rows.min() < 0:
+            reached = states.enter(rows, s - 1)
+            if s < n:  # the last step has its own measurement
+                states.expand(reached)
         if s == n:
             break
-        states.expand(likelihoods, c)
         # strict: ties keep the smaller index, like argmax.  best_idx <= s - 1
         # here and never decreases, so the maximum writes s exactly where the
         # state leads and leaves every other entry as it was

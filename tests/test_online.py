@@ -209,8 +209,9 @@ class TestStepKernels:
     def test_engine_feeds_normalised_tail_weights(self, monkeypatch, c2):
         # the kernel needs no division guard because p0 is the tail weight
         # over a best weight of exactly 1: it lies in [0, 1], and the last
-        # step has no tail at all.  Each step passes the tail weights of the
-        # states first reached at that step, which may be none
+        # step has no tail at all.  A step before the last calls it only to
+        # expand the states its trials sit on for the first time, so at most
+        # once, never on an empty array
         n, seen = 12, []
         kernel = online_module._outcome_phi_likelihoods
 
@@ -220,9 +221,9 @@ class TestStepKernels:
 
         monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", recording)
         monte_carlo("greedy", n, math.sqrt(c2), 3000, 17)
-        assert len(seen) == n
+        assert len(seen) <= n
         for p0 in seen[:-1]:
-            assert p0.ndim == 1
+            assert p0.ndim == 1 and p0.size >= 1
             assert np.all((p0 >= 0.0) & (p0 <= 1.0))
         np.testing.assert_array_equal(seen[0], [1.0])
         assert seen[-1] == 0.0
@@ -395,20 +396,24 @@ class TestMonteCarloHarness:
 
         def flat_likelihoods(p0, c):
             seen.append(np.array(p0))
-            return 0.5, 0.5
+            return np.full_like(p0, 0.5), np.full_like(p0, 0.5)
 
         monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", flat_likelihoods)
         records = list(iter_trial_records("greedy", 5, 0.5, 200, 3))
-        # p0 is the tail weight over the best, so the tie is one state, first
-        # reached at step 2, whose tail weight reads exactly 1
-        np.testing.assert_array_equal(np.concatenate(seen[1:4]), [1.0])
+        # p0 is the tail weight over the best, so the tie is one state, which
+        # every trial sits on from step 2 and which is expanded there; its
+        # tail weight reads exactly 1, and it is its own successor, so no
+        # later step expands a state
+        np.testing.assert_array_equal(seen[0], [1.0])
+        np.testing.assert_array_equal(np.concatenate(seen[1:-1]), [1.0])
+        assert seen[-1] == 0.0
         assert [r.guess for r in records] == [1] * 200
 
     def test_undefined_posterior_raises(self, monkeypatch):
         # a NaN click probability under the mutated state leaves the best
         # weight undefined after the first outcome
         def nan_b(p0, c):
-            return 0.5, np.nan
+            return np.full_like(p0, 0.5), np.full_like(p0, np.nan)
 
         monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", nan_b)
         with pytest.raises(ImpossibleOutcomeError, match="at step 1$"):
@@ -451,13 +456,46 @@ class TestMonteCarloHarness:
                 if want_part is not None:
                     assert got_part.dtype == want_part.dtype
 
-    def test_engine_matches_reference_bitwise_at_n_2000(self):
+    # at c^2 = 0.85 the posteriors reachable within 2000 steps number about
+    # 9e6, of which the trials reach at most 2000
+    @pytest.mark.parametrize("c2", [0.85, 0.9])
+    def test_engine_matches_reference_bitwise_at_n_2000(self, c2):
         likelihoods = online_module._outcome_phi_likelihoods
         seeds = trial_seed_array(9, np.arange(500))
-        got = online_module._simulate_chunk(2000, math.sqrt(0.9), seeds, likelihoods, True)
-        want = _reference_chunk(2000, math.sqrt(0.9), seeds, likelihoods, True)
+        got = online_module._simulate_chunk(2000, math.sqrt(c2), seeds, likelihoods, True)
+        want = _reference_chunk(2000, math.sqrt(c2), seeds, likelihoods, True)
         for got_part, want_part in zip(got, want):
             np.testing.assert_array_equal(got_part, want_part)
+
+    @staticmethod
+    def _count_states(monkeypatch, name):
+        # per automaton: the states it passes the kernel, and the automaton
+        counts, automata = [], []
+        kernel = getattr(online_module, name)
+
+        class Recording(online_module._PosteriorAutomaton):
+            def __init__(self, likelihoods, c):
+                counts.append(0)
+                automata.append(self)
+                super().__init__(likelihoods, c)
+
+        def counting(p0, c):
+            if np.ndim(p0):
+                counts[-1] += np.size(p0)
+            return kernel(p0, c)
+
+        monkeypatch.setattr(online_module, "_PosteriorAutomaton", Recording)
+        monkeypatch.setattr(online_module, name, counting)
+        return counts, automata
+
+    @staticmethod
+    def _assert_lazy(count, states, bound):
+        # each state is expanded once, and its expansion creates at most its
+        # two successors; the prior and the sink come before any expansion
+        expanded = int(np.count_nonzero(states.marks[:4 * len(states.tails):4] == 0))
+        assert count == expanded
+        assert 1 <= expanded <= bound
+        assert len(states.tails) <= 2 * expanded + 2
 
     @pytest.mark.parametrize("n", [12, 50, 300])
     @pytest.mark.parametrize("strategy", ["basic", "greedy"])
@@ -465,20 +503,18 @@ class TestMonteCarloHarness:
         # the speed rests on this: the kernel sees each distinct posterior
         # once, and a chunk of 16384 trials reaches at most n of them (greedy)
         # or 2 (basic: before and after the first click)
-        name = KERNELS[strategy]
-        kernel = getattr(online_module, name)
-        states = []
-
-        def counting(p0, c):
-            if np.ndim(p0):
-                states[-1] += np.size(p0)
-            return kernel(p0, c)
-
-        monkeypatch.setattr(online_module, name, counting)
+        counts, automata = self._count_states(monkeypatch, KERNELS[strategy])
         for c in ENGINE_OVERLAPS:
-            states.append(0)
             monte_carlo(strategy, n, c, 16384, 5)
-            assert 1 <= states[-1] <= (n if strategy == "greedy" else 2), c
+            self._assert_lazy(counts[-1], automata[-1], n if strategy == "greedy" else 2)
+
+    def test_automaton_stays_lazy_at_n_2000(self, monkeypatch):
+        # expanding every posterior reachable within n steps would build
+        # about 9e6 states here; a chunk expands only those its trials sit on
+        counts, automata = self._count_states(monkeypatch, "_outcome_phi_likelihoods")
+        monte_carlo("greedy", 2000, math.sqrt(0.85), 16384, 5)
+        assert len(automata) == 1
+        self._assert_lazy(counts[0], automata[0], 2000)
 
     def test_basic_memory_at_n_2000(self):
         # a chunk holds n outcome bytes and a few scalars per trial, no
