@@ -18,8 +18,10 @@ The fixed point exists once too, in ``_fixed_point``, which reads only
 diag(M^{1/2}) per step, M = B^T B for the steered states B = S diag(sqrt w).
 On the change-point Gram matrix G = S^T S with every positive prior at least
 1e-100, a step is the chain kernel on G, O(n N) with no decomposition: the
-chain core.  G is recognised by comparing it with a strided view of c^|i-j|
-(``gram._gram_view``) a few rows at a time, with no n x n temporary;
+chain core.  G is never formed: its finiteness follows from the column norms
+diag(G), and it is recognised one row block of its upper triangle at a time,
+S[:, i:i+r]^T S[:, i:], each compared with the same rows of a strided view of
+c^|i-j| (``gram._gram_view``), so no n x n temporary exists;
 ``collective_summary``'s factor is the upper triangle of the same view.
 Any other G takes one thin LAPACK SVD of B per step: the dense core.  B has
 one rank rule, in ``_steered_svd``: singular values at or below 1e-12 of the
@@ -60,8 +62,11 @@ _RANK_TOL = 1e-12
 # this no weight underflows and the bound is below
 # ((1+c)/(1-c))^3 (max p / min p)^2 < 6e48 * 1e200 for c < 1.
 _CHAIN_MIN_PRIOR = 1e-100
-# Entries per row block of the chain test: its temporaries stay near 256 KB.
-_CHAIN_TEST_BLOCK = 1 << 15
+# Least rows per block of the chain test, which takes max(64, ceil(n/16))
+# rows (see _on_chain).  Up to n = 64 the test is one S^T S product on BLAS's
+# symmetric kernel, which the product for c loads anyway; 32-row blocks at
+# n = 50 ran the general kernel too, mapping about 128 KB more of its code.
+_CHAIN_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -218,18 +223,21 @@ def embed_states(gram: np.ndarray) -> np.ndarray:
     return embedded.sqrt_matrix
 
 
-def _on_chain(gram: np.ndarray, c: float) -> bool:
-    """Whether gram is within 1e-12 of max|gram| of c^|i-j| everywhere.
+def _on_chain(states: np.ndarray, c: float, limit: float) -> bool:
+    """Whether G = S^T S is within limit of c^|i-j| everywhere.
 
-    It is compared with the strided view of c^|i-j| a few rows at a time,
-    so no n x n temporary is formed.
+    The upper triangle of G, which decides for a symmetric G, is built one
+    row block at a time, as S[:, i:i+r]^T S[:, i:] with r = max(64, ceil(n/16))
+    rows, and compared with the same rows of the strided view of c^|i-j|.  So
+    no n x n array is formed: the largest temporary is one block, r/n of G.
+    The test stops at the first block that differs.
     """
-    n = gram.shape[0]
+    n = states.shape[1]
     chain = _gram_view(n, c)
-    limit = _RANK_TOL * np.maximum(gram.max(), -gram.min())
-    rows = max(1, _CHAIN_TEST_BLOCK // n)
+    rows = max(_CHAIN_BLOCK_ROWS, -(-n // 16))
     for start in range(0, n, rows):
-        block = gram[start:start + rows] - chain[start:start + rows]
+        block = states[:, start:start + rows].T @ states[:, start:]
+        block -= chain[start:start + rows, start:]
         if not np.abs(block, out=block).max() <= limit:
             return False
     return True
@@ -243,29 +251,40 @@ def _steered_svd(states: np.ndarray, weights: np.ndarray):
     return u[:, keep], s[keep], vt[keep]
 
 
-def _fixed_point(states: np.ndarray, gram: np.ndarray, priors: np.ndarray, tol: float, max_iter: int):
+def _fixed_point(states: np.ndarray, priors: np.ndarray, tol: float, max_iter: int):
     """The fixed-point iteration on the steered states; see optimal_povm_fixed_point.
 
-    A step reads only diag(M^{1/2}), M = B^T B for B = S diag(sqrt w).  On the
-    change-point chain (n >= 2, c = G[0, 1] in [0, 1) and G = S^T S within
-    1e-12 of max|G| of c^|i-j|, checked by ``_on_chain`` in row blocks) with
-    every positive prior at least 1e-100, ``gram._chain_root_diagonal`` gives
-    it and the states are not read.  Any other G, n = 1 or a positive prior
-    below 1e-100 takes one ``_steered_svd`` of B per step, the same rank cut
-    the POVM vectors make, and sums s_i V_ki^2 over the directions it keeps.
-    Returns (value, iterations, converged, weights, seed diagonal): the
-    steering weights of the returned iterate and diag(M^{1/2}) at weights =
-    priors, the square-root-measurement seed's.
+    The states are checked first: their column norms diag(S^T S) must be
+    finite, and then, as |G_ij| <= sqrt(G_ii G_jj), so is G = S^T S, which is
+    never formed.  A step reads only diag(M^{1/2}), M = B^T B for
+    B = S diag(sqrt w).  On the change-point chain (n >= 2,
+    c = S[:, 0] . S[:, 1] in [0, 1) and G within 1e-12 of the largest column
+    norm, which is max|G|, of c^|i-j|, checked by ``_on_chain`` in row
+    blocks) with every positive prior at least 1e-100,
+    ``gram._chain_root_diagonal`` gives it and the states are not read again.
+    Any other G, n = 1 or a positive prior below 1e-100 takes one
+    ``_steered_svd`` of B per step, the same rank cut the POVM vectors make,
+    and sums s_i V_ki^2 over the directions it keeps.  Returns (value,
+    iterations, converged, weights, seed diagonal): the steering weights of
+    the returned iterate and diag(M^{1/2}) at weights = priors, the
+    square-root-measurement seed's.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->j", states, states)
+    if not np.isfinite(norms).all():
+        raise ValueError("states and their Gram matrix S^T S must be finite")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     max_iter = _integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    n = gram.shape[0]
-    c = float(gram[0, 1]) if n >= 2 else math.nan
+    n = states.shape[1]
+    # G[0, 1] of the two-column Gram matrix: the same BLAS product, and so the
+    # same rounding, as that entry of S^T S, where a plain dot product of the
+    # two columns can differ in the last place
+    c = float((states[:, :2].T @ states[:, :2])[0, 1]) if n >= 2 else math.nan
     on_chain = (0.0 <= c < 1.0 and np.min(priors, where=priors > 0.0, initial=1.0) >= _CHAIN_MIN_PRIOR
-                and _on_chain(gram, c))
+                and _on_chain(states, c, _RANK_TOL * norms.max()))
 
     def root_diagonal(weights: np.ndarray) -> np.ndarray:
         if on_chain:
@@ -316,18 +335,20 @@ def optimal_povm_fixed_point(
     Jezek-Rehacek-Fiurasek step for pure states.  The loop stops once the
     gain drops below tol; a step that lowers the value by more than 1e-12
     ends it with converged=False and the best iterate returned.  The states
-    and their Gram matrix S^T S must be finite, the states 2-D, tol > 0 and
-    max_iter an integer >= 1.  With priors (0.3, 0, 0.4, 0.3) at n=4, c=0.6
-    the value climbs from the square-root measurement's 0.907941693817 to
-    0.908410104217 in 5 iterations.
+    must be 2-D with finite column norms diag(S^T S); that makes them and
+    their Gram matrix G = S^T S finite, as |G_ij| <= sqrt(G_ii G_jj).  tol
+    must be > 0 and max_iter an integer >= 1.  With priors
+    (0.3, 0, 0.4, 0.3) at n=4, c=0.6 the value climbs from the square-root
+    measurement's 0.907941693817 to 0.908410104217 in 5 iterations.
 
     With steering weights w, scaled to max 1, B = S diag(sqrt w) and
     M = B^T B = sqrt(w_i) G_ij sqrt(w_j), the elements are E_k = g_k g_k^T
     with g = B M^{-1/2}, and <psi_k|g_k> = (M^{1/2})_kk / sqrt(w_k), so a
     step reads only diag(M^{1/2}).  When G = S^T S is the change-point Gram
     matrix (n >= 2, c = G[0, 1] in [0, 1), G within 1e-12 of max|G| of
-    c^|i-j|) and every positive prior is at least 1e-100, a step is the
-    O(n N) chain kernel on G and no decomposition; otherwise it is one thin
+    c^|i-j|, tested one row block of G at a time, so G is never formed) and
+    every positive prior is at least 1e-100, a step is the O(n N) chain
+    kernel on G and no decomposition; otherwise it is one thin
     SVD B = U diag(s) V^T, cut at 1e-12 of the largest singular value, and
     (M^{1/2})_kk = sum_i s_i V_ki^2.  The vectors g = U V^T are formed when
     first read, from one thin SVD of B at the returned steering weights with
@@ -337,12 +358,7 @@ def optimal_povm_fixed_point(
     if states.ndim != 2:
         raise ValueError(f"states must be 2-D, one column per state; got shape {states.shape}")
     priors = _checked_priors(priors, states.shape[1])
-    # a NaN or inf state reaches the diagonal of G, so one check covers both
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = states.T @ states
-    if not np.isfinite(gram).all():
-        raise ValueError("states and their Gram matrix S^T S must be finite")
-    success, iterations, converged, weights, seed_diagonal = _fixed_point(states, gram, priors, tol, max_iter)
+    success, iterations, converged, weights, seed_diagonal = _fixed_point(states, priors, tol, max_iter)
     return PovmSolverResult(success_probability=success, iterations=iterations, converged=converged,
                             _states=states, _weights=weights, _seed_diagonal=seed_diagonal)
 
@@ -366,7 +382,7 @@ def collective_summary(
     """
     spectrum = solve_spectrum(n, c)
     uniform = np.full(n, 1.0 / n)
-    # the public solver on R, not _fixed_point on G: perfbench/selftest.py
+    # the public solver on R, not _fixed_point: perfbench/selftest.py
     # counts one traced optimal_povm_fixed_point call per sweep point
     factor = np.triu(_gram_view(n, c))
     factor[1:] *= math.sqrt((1.0 - c) * (1.0 + c))

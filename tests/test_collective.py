@@ -544,32 +544,55 @@ class TestFixedPointSolver:
             tracemalloc.stop()
         assert peak < 50e6
 
-    def test_chain_test_forms_no_n_by_n_temporary(self):
-        # comparing G with a full build_gram(n, c) peaked at 64 MB at n = 2000;
+    def test_chain_test_forms_no_n_by_n_temporary(self, svd_calls):
+        # forming G = S^T S for the chain test peaked at 36 MB at n = 2000,
+        # and comparing it with a full build_gram(n, c) at 64 MB before that;
         # the chain kernel itself needs about 2 MB
         c = math.sqrt(0.9)
-        states, gram = gram_schmidt_factor(2000, c), build_gram(2000, c)
+        states, priors = gram_schmidt_factor(2000, c), uniform(2000)
         tracemalloc.start()
         try:
-            _, _, converged, _, _ = collective_module._fixed_point(states, gram, uniform(2000), 1e-10, 10_000)
+            result = optimal_povm_fixed_point(states, priors)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert converged
+        assert result.converged and svd_calls == []
         assert peak < 8e6
 
     @pytest.mark.parametrize("row", [0, 5, 9])
     @pytest.mark.parametrize("departure, chain", [(0.5e-12, True), (2e-12, False)])
     def test_chain_test_reads_every_row_block(self, monkeypatch, svd_calls, row, departure, chain):
-        # blocks of 4 rows at n = 10: a departure from c^|i-j| decides the
-        # core wherever it lies, against 1e-12 of max|G|
-        monkeypatch.setattr(collective_module, "_CHAIN_TEST_BLOCK", 40)
+        # blocks of 4 rows at n = 10, each read from the diagonal rightwards:
+        # a departure from c^|i-j| at (0, 9), (5, 9) or (9, 9), each in its
+        # own block, decides the core wherever it lies, against 1e-12 of max|G|
+        monkeypatch.setattr(collective_module, "_CHAIN_BLOCK_ROWS", 4)
         gram = build_gram(10, 0.6)
-        column = 3 if row != 3 else 4
-        gram[row, column] += departure
-        gram[column, row] += departure
-        collective_module._fixed_point(gram_schmidt_factor(10, 0.6), gram, uniform(10), 1e-10, 10_000)
+        gram[row, 9] = gram[9, row] = gram[row, 9] + departure
+        optimal_povm_fixed_point(np.linalg.cholesky(gram).T, uniform(10))
         assert (svd_calls == []) == chain
+
+    @pytest.mark.parametrize("n", [100, 600])
+    @pytest.mark.parametrize("departure", [None, "first", "middle", "last"])
+    def test_chain_test_stops_at_the_first_differing_block(self, n, departure):
+        # a chain matrix takes every block product of S^T S; any other stops
+        # at the first block whose rows of the upper triangle depart from c^|i-j|
+        products = []
+
+        class BlockProducts(np.ndarray):
+            def __matmul__(self, other):
+                products.append(n - other.shape[1])  # the block's first row
+                return np.asarray(self) @ np.asarray(other)
+
+        c = 0.6
+        gram = build_gram(n, c)
+        row = {None: None, "first": 0, "middle": n // 2, "last": n - 1}[departure]
+        if row is not None:
+            gram[row, n - 1] = gram[n - 1, row] = gram[row, n - 1] + 1e-9
+        states = np.linalg.cholesky(gram).T.view(BlockProducts)
+        rows = max(collective_module._CHAIN_BLOCK_ROWS, math.ceil(n / 16))
+        starts = list(range(0, n, rows))
+        assert collective_module._on_chain(states, c, 1e-12) == (row is None)
+        assert products == (starts if row is None else starts[:row // rows + 1])
 
     def test_tol_validation(self):
         with pytest.raises(ValueError):
@@ -647,6 +670,19 @@ class TestCollectiveSummary:
         values = [summary.lower_bound, summary.srm, summary.upper_bound, summary.fixed_point_opt]
         for value in values:
             assert value == pytest.approx(helstrom, abs=1e-12)
+
+    @pytest.mark.parametrize("n, bound", [(450, 2.5e6), (2000, 40e6)])
+    def test_memory_stays_near_the_factor(self, n, bound):
+        # the factor R alone is n^2 doubles, 1.6 MB at n = 450 and 32 MB at
+        # n = 2000; the solver forming G = S^T S beside it peaked at 3.85 MB
+        # and 68 MB
+        tracemalloc.start()
+        try:
+            collective_summary(n, math.sqrt(0.9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_ordering(self):
         summary = collective_summary(20, 0.8)
