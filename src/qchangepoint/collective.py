@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .gram import (DegenerateEnsembleError, _chain_root_diagonal, _gram_view, _integer,
-                   _symmetric_matrix, _symmetric_root, solve_spectrum, sqrt_trace_limit)
+                   _real_array, _symmetric_matrix, _symmetric_root, solve_spectrum, sqrt_trace_limit)
 
 __all__ = [
     "WeightedGram",
@@ -129,7 +129,7 @@ class CollectiveSummary:
 
 
 def _checked_priors(priors: np.ndarray, n: int) -> np.ndarray:
-    priors = np.asarray(priors, dtype=float)
+    priors = _real_array("priors", priors)
     if priors.shape != (n,):
         raise ValueError(f"priors shape {priors.shape} does not match n={n}")
     if not np.all(priors >= 0.0) or abs(priors.sum() - 1.0) > _PRIOR_TOL:
@@ -152,9 +152,9 @@ def weighted_gram(gram: np.ndarray, priors: np.ndarray) -> WeightedGram:
     The square root comes from LAPACK's symmetric eigensolver (numpy eigh);
     eigenvalues below 1e-12 of the largest flag rank deficiency, and negative
     ones are clamped to zero.  A gram that is not square, finite and
-    symmetric raises ValueError.
+    symmetric, or complex priors or gram, raise ValueError.
     """
-    gram = _symmetric_matrix(gram)
+    gram = _symmetric_matrix("gram", gram)
     root_p = np.sqrt(_checked_priors(priors, gram.shape[0]))
     w = root_p[:, np.newaxis] * gram * root_p[np.newaxis, :]
     return _weighted(w, *np.linalg.eigh(w))
@@ -213,7 +213,7 @@ def embed_states(gram: np.ndarray) -> np.ndarray:
     Returns sqrt(G); column k is the k-th state, so pairwise inner products
     reproduce the Gram matrix exactly.  G is checked as in weighted_gram.
     """
-    gram = _symmetric_matrix(gram)
+    gram = _symmetric_matrix("gram", gram)
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     embedded = _weighted(gram, eigenvalues, eigenvectors)
     if embedded.rank_deficient:
@@ -256,11 +256,13 @@ def _fixed_point(states: np.ndarray, priors: np.ndarray, tol: float, max_iter: i
 
     The states are checked first: their column norms diag(S^T S) must be
     finite, and then, as |G_ij| <= sqrt(G_ii G_jj), so is G = S^T S, which is
-    never formed.  A step reads only diag(M^{1/2}), M = B^T B for
-    B = S diag(sqrt w).  On the change-point chain (n >= 2,
-    c = S[:, 0] . S[:, 1] in [0, 1) and G within 1e-12 of the largest column
-    norm, which is max|G|, of c^|i-j|, checked by ``_on_chain`` in row
-    blocks) with every positive prior at least 1e-100,
+    never formed.  Some state with a positive prior must have a nonzero
+    norm, or the steering weights, scaled to max 1, would have no scale.
+    A step reads only diag(M^{1/2}), M = B^T B for B = S diag(sqrt w).  On
+    the change-point chain (n >= 2, c = S[:, 0] . S[:, 1] in [0, 1) and G
+    within 1e-12 of the largest column norm, which is max|G|, of c^|i-j|,
+    checked by ``_on_chain`` in row blocks) with every positive prior at
+    least 1e-100,
     ``gram._chain_root_diagonal`` gives it and the states are not read again.
     Any other G, n = 1 or a positive prior below 1e-100 takes one
     ``_steered_svd`` of B per step, the same rank cut the POVM vectors make,
@@ -273,6 +275,8 @@ def _fixed_point(states: np.ndarray, priors: np.ndarray, tol: float, max_iter: i
         norms = np.einsum("ij,ij->j", states, states)
     if not np.isfinite(norms).all():
         raise ValueError("states and their Gram matrix S^T S must be finite")
+    if not np.any(norms[priors > 0.0] > 0.0):
+        raise ValueError("every state with a positive prior has zero norm")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     max_iter = _integer("max_iter", max_iter)
@@ -335,8 +339,9 @@ def optimal_povm_fixed_point(
     Jezek-Rehacek-Fiurasek step for pure states.  The loop stops once the
     gain drops below tol; a step that lowers the value by more than 1e-12
     ends it with converged=False and the best iterate returned.  The states
-    must be 2-D with finite column norms diag(S^T S); that makes them and
-    their Gram matrix G = S^T S finite, as |G_ij| <= sqrt(G_ii G_jj).  tol
+    must be real and 2-D with finite column norms diag(S^T S); that makes
+    them and their Gram matrix G = S^T S finite, as |G_ij| <= sqrt(G_ii G_jj).
+    Some state with a positive prior must have a nonzero norm.  tol
     must be > 0 and max_iter an integer >= 1.  With priors
     (0.3, 0, 0.4, 0.3) at n=4, c=0.6 the value climbs from the square-root
     measurement's 0.907941693817 to 0.908410104217 in 5 iterations.
@@ -354,7 +359,7 @@ def optimal_povm_fixed_point(
     first read, from one thin SVD of B at the returned steering weights with
     the same cut, so they resolve the identity on the span the steps kept.
     """
-    states = np.asarray(states, dtype=float)
+    states = _real_array("states", states)
     if states.ndim != 2:
         raise ValueError(f"states must be 2-D, one column per state; got shape {states.shape}")
     priors = _checked_priors(priors, states.shape[1])

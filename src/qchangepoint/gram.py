@@ -20,7 +20,8 @@ only because ``perfbench/tracing.py`` lists it by name, which
 ``tests/test_api.py`` checks; the benchmark's workloads make no call to it.
 The other oracles (the boundary polynomial, the bracket-only bisection, the
 I_r quadrature) live in the tests.  The package's argument checks live
-here: ``_integer``, ``_check_overlap`` (n, c) and ``_symmetric_matrix``.
+here: ``_integer``, ``_check_overlap`` (n, c), ``_real_array`` and
+``_symmetric_matrix``.
 """
 
 from __future__ import annotations
@@ -114,10 +115,19 @@ def _check_overlap(c: float, n: int = 1) -> int:
     return n
 
 
-def _symmetric_matrix(matrix) -> np.ndarray:
-    """``matrix`` as a float array, checked square, finite and symmetric to
-    1e-12 max(max|a|, 1); eigh would read only its lower triangle."""
-    a = np.asarray(matrix, dtype=float)
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, or a ValueError that names the argument
+    if it is complex: the cast would drop the imaginary parts."""
+    a = np.asarray(value)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
+def _symmetric_matrix(name: str, matrix) -> np.ndarray:
+    """``matrix`` as a real float array, checked square, finite and symmetric
+    to 1e-12 max(max|a|, 1); eigh would read only its lower triangle."""
+    a = _real_array(name, matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -341,7 +351,7 @@ def jacobi_eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     commute and are applied at once.  RuntimeError if 60 sweeps fall short.
     Returns eigenvalues ascending and the matching eigenvectors as columns.
     """
-    a = _symmetric_matrix(matrix)
+    a = _symmetric_matrix("matrix", matrix)
     n = a.shape[0]
     skip_tol = 1e-16 * max(np.abs(a).max(initial=0.0), 1.0)
     a = 0.5 * (a + a.T)

@@ -11,10 +11,13 @@ larger weight is 1, and those weights take few distinct values: a chunk
 steps a lazily grown automaton of them, whose states run the kernel and
 the Bayes update once, the first step a trial sits on one (2 states for
 basic; at most n for greedy on every overlap tested), and a trial's step
-is a uniform, a few table gathers and a compare.  simulate_trial replays
-a trial on the full posterior from per-k click probabilities.  Its greedy step, _greedy_click_probabilities,
-is built from helstrom_measurement and nothing the engine uses, and
-exact_greedy_enumeration walks both of its outcomes for small n; the
+is a uniform, a few table gathers and a compare.  A NaN click threshold
+marks a state not yet expanded, so the gather a step makes anyway finds
+the trials that need one.  simulate_trial replays a trial on the full
+posterior from per-k click probabilities.  Its greedy step,
+_greedy_click_probabilities, is built from helstrom_measurement and
+nothing the engine uses, and exact_greedy_enumeration walks both of its
+outcomes for small n; the
 engine is tested against both.  Trials run in ceil(trials / 16384) chunks
 of nearly equal size, and a chunk of m trials holds a few length-m arrays;
 only iter_trial_records asks the engine for the chunk's (m x n) outcome
@@ -240,11 +243,6 @@ def _outcome_phi_likelihoods(p0, c: float):
     return a, b
 
 
-# a power of two above every row: row - _MARK is row, marked, and
-# & (_MARK - 1) takes the mark off
-_MARK = 1 << 40
-
-
 class _PosteriorAutomaton:
     """The distinct normalised posteriors a chunk's trials reach, grown as they reach them.
 
@@ -252,27 +250,25 @@ class _PosteriorAutomaton:
     that the larger weight is 1.  What happens next depends only on the tail
     weight and the lead flag best < tail, and not on s (the last step
     aside), so a state is keyed by the tail's exact value (its hex form) and
-    the flag.  State i owns rows 4i .. 4i+3 of four tables, and a trial
+    the flag.  State i owns rows 4i .. 4i+3 of three tables, and a trial
     sits at row 4i, or 4i + 2 once its particle s is mutated: thresholds
     holds a there (b at the mutated row), lead the flag, and successors,
     read at the row plus the click bit, the row the trial moves to, its
     mutated offset kept.  A state is created, with its tail and flag, when
     a state that leads to it is expanded, and is expanded the first step a
     trial sits on it: its (a, b) and successors are computed then, once,
-    with the IEEE operations of the per-trial update.  marks holds -_MARK on
-    the rows of an unexpanded state and 0 once it is expanded, and every
-    successor entry carries the mark of the row it names, so a trial that
-    steps onto an unexpanded state gets a negative row.  State 0 is the
-    prior, where every trial starts, and state 1 the sink that an outcome
-    leaving the posterior no mass leads to; the sink is never expanded.
+    with the IEEE operations of the per-trial update.  Its thresholds are
+    NaN until then, and only then: a NaN click probability is stored as
+    -inf, which never clicks either.  State 0 is the prior, where every
+    trial starts, and state 1 the sink that an outcome leaving the
+    posterior no mass leads to; the sink is never expanded.
     """
 
     def __init__(self, likelihoods, c: float):
         self.likelihoods, self.c = likelihoods, c
-        self.thresholds = np.zeros(8)
+        self.thresholds = np.full(8, math.nan)
         self.successors = np.zeros(8, dtype=np.intp)
         self.lead = np.zeros(8, dtype=np.int64)
-        self.marks = np.zeros(8, dtype=np.intp)
         self.tails: list[float] = []
         self.keys: dict = {}  # key -> row
         # the prior, tail 1 against a best weight of 0, and the sink; every
@@ -284,11 +280,10 @@ class _PosteriorAutomaton:
     def _add(self, tail: float, lead: bool) -> int:
         row = 4 * len(self.tails)
         if row == self.lead.size:
-            self.thresholds, self.successors, self.lead, self.marks = (
-                np.concatenate([table, np.zeros_like(table)])
-                for table in (self.thresholds, self.successors, self.lead, self.marks))
+            self.thresholds, self.successors, self.lead = (
+                np.concatenate([table, np.full_like(table, fill)])
+                for table, fill in ((self.thresholds, math.nan), (self.successors, 0), (self.lead, 0)))
         self.lead[row:row + 4] = lead
-        self.marks[row:row + 4] = -_MARK
         self.tails.append(tail)
         return row
 
@@ -307,12 +302,9 @@ class _PosteriorAutomaton:
         return row
 
     def enter(self, rows: np.ndarray, step: int) -> list[int]:
-        """Take the marks off the trials' rows after the outcome sampled at
-        step, and return the states they marked."""
-        landed = (rows < 0).nonzero()[0]
-        arrived = rows[landed] + _MARK
-        rows[landed] = arrived
-        reached = np.bincount(arrived >> 2, minlength=2)
+        """The unexpanded states that rows, reached by the outcome sampled
+        at step, sit on."""
+        reached = np.bincount(rows >> 2, minlength=2)
         if reached[1]:
             raise ImpossibleOutcomeError(
                 f"posterior has zero or undefined mass after the outcome sampled at step {step}")
@@ -323,19 +315,12 @@ class _PosteriorAutomaton:
         successor not yet keyed becomes a state."""
         tails = [self.tails[state] for state in states]
         a, b = self.likelihoods(np.array(tails), self.c)
-        for state, tail, a_i, b_i in zip(states, tails, a.tolist(), b.tolist()):
-            row = 4 * state
-            self.thresholds[row:row + 3:2] = a_i, b_i
+        rows = 4 * np.array(states)
+        self.thresholds[rows], self.thresholds[rows + 2] = np.fmax(a, -math.inf), np.fmax(b, -math.inf)
+        for row, tail, a_i, b_i in zip(rows.tolist(), tails, a.tolist(), b.tolist()):
             no_click = self._successor(1.0 - b_i, tail * (1.0 - a_i))
             click = self._successor(b_i, tail * a_i)
             self.successors[row:row + 4] = no_click, click, no_click + 2, click + 2
-            self.marks[row:row + 4] = 0
-        # one pass gives every entry the mark of the state it names
-        table = self.successors[:4 * len(self.tails)]
-        np.bitwise_and(table, _MARK - 1, out=table)
-        table += self.marks.take(table)
-        # whether a trial can step onto an unexpanded state
-        self.marked = table.min() < 0
 
 
 def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods, record: bool):
@@ -343,10 +328,11 @@ def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods, record: bo
     # so (tail of k >= s, best of k < s, its index) suffices, and scaled so
     # the larger weight is 1 it takes few values: each trial carries only its
     # row in a _PosteriorAutomaton and its best index.  A step is a uniform,
-    # three table gathers and a compare per trial; every gather index is in
-    # range, so mode="clip" only spares take a buffered copy.  The (m x n)
-    # outcome bytes are kept only when record is set; otherwise the third
-    # result is None.
+    # three table gathers and a compare per trial, and a minimum over the
+    # gathered thresholds, NaN when a trial sits on a state not yet
+    # expanded; every gather index is in range, so mode="clip" only spares
+    # take a buffered copy.  The (m x n) outcome bytes are kept only when
+    # record is set; otherwise the third result is None.
     m = seeds.shape[0]
     true_k = _draw_true_k(n, seeds)
     best_idx = np.zeros(m, dtype=np.int64)
@@ -362,17 +348,20 @@ def _simulate_chunk(n: int, c: float, seeds: np.ndarray, likelihoods, record: bo
     clicked = np.empty(m, dtype=bool)
     for s in range(1, n + 1):
         rows[by_change[group_ends[s - 1]:group_ends[s]]] += 2
-        if states.marked and rows.min() < 0:
-            reached = states.enter(rows, s - 1)
+        states.thresholds.take(rows, out=threshold, mode="clip")
+        if math.isnan(threshold.min()):  # a trial sits on an unexpanded state
+            landed = np.isnan(threshold).nonzero()[0]
+            arrived = rows[landed]
+            reached = states.enter(arrived, s - 1)
             if s < n:  # the last step has its own measurement
                 states.expand(reached)
+                threshold[landed] = states.thresholds[arrived]
         if s == n:
             break
         # strict: ties keep the smaller index, like argmax.  best_idx <= s - 1
         # here and never decreases, so the maximum writes s exactly where the
         # state leads and leaves every other entry as it was
         np.maximum(best_idx, (states.lead * s).take(rows, out=lead_step, mode="clip"), out=best_idx)
-        states.thresholds.take(rows, out=threshold, mode="clip")
         np.less(uniform_array(seeds, s), threshold, out=clicked)
         if record:
             outcomes[:, s - 1] = clicked

@@ -156,6 +156,11 @@ class TestWeightedGram:
         with pytest.raises(ValueError, match="nonnegative"):
             weighted_gram(build_gram(2, 0.5), np.array([math.nan, 0.5]))
 
+    def test_rejects_complex_priors(self):
+        # the float cast used to drop the imaginary parts with only a warning
+        with pytest.raises(ValueError, match="priors must be real"):
+            weighted_gram(build_gram(2, 0.5), np.array([0.5 + 0.5j, 0.5 - 0.5j]))
+
 
 class TestBounds:
     def test_two_state_lower_bound(self):
@@ -252,7 +257,9 @@ class TestEmbedStates:
     # a NaN entry gave an all-NaN root and lambda_max = nan
     ([[1.0, math.nan], [math.nan, 1.0]], "finite"),
     ([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]], "square"),
-], ids=["asymmetric", "nan", "non-square"])
+    # a Hermitian Gram matrix lost its imaginary parts to the float cast
+    ([[1.0, 0.5j], [-0.5j, 1.0]], "gram must be real"),
+], ids=["asymmetric", "nan", "non-square", "complex"])
 def test_rejects_bad_gram(call, matrix, message):
     with pytest.raises(ValueError, match=message):
         call(np.array(matrix))
@@ -641,6 +648,34 @@ class TestFixedPointSolver:
         # test against an infinite limit and read the unit chain's 0.8985
         with pytest.raises(ValueError, match=message):
             optimal_povm_fixed_point(states, uniform(np.shape(states)[-1]))
+
+    @pytest.mark.parametrize("states,priors", [
+        (np.zeros((3, 3)), uniform(3)),
+        (np.zeros((0, 3)), uniform(3)),
+        (np.array([[0.0, 0.0, 1.0]]), np.array([0.5, 0.5, 0.0])),
+    ], ids=["zeros", "no-rows", "only-a-zero-prior-state-nonzero"])
+    def test_rejects_zero_states(self, states, priors):
+        # the steering weights were scaled by their maximum, 0: all zeros
+        # died in the SVD after divide-by-zero warnings, and zero rows read
+        # 0.0 converged
+        with pytest.raises(ValueError, match="zero norm"):
+            optimal_povm_fixed_point(states, priors)
+
+    def test_one_nonzero_state_is_enough(self):
+        # a zero state with a positive prior is never identified, so the
+        # value is the prior of the state that is not zero
+        result = optimal_povm_fixed_point(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), uniform(3))
+        assert result.success_probability == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("states,priors,name", [
+        (np.array([[1.0, math.sqrt(0.5)], [0.0, 1j * math.sqrt(0.5)]]), uniform(2), "states"),
+        (np.eye(2), np.array([0.5 + 0j, 0.5]), "priors"),
+    ], ids=["states", "priors"])
+    def test_rejects_complex_input(self, states, priors, name):
+        # the complex states used to read 0.5, their real parts' value, where
+        # Helstrom gives (1 + sqrt(1/2)) / 2 = 0.853553
+        with pytest.raises(ValueError, match=f"{name} must be real"):
+            optimal_povm_fixed_point(states, priors)
 
 
 class TestCollectiveSummary:

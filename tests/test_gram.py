@@ -363,7 +363,9 @@ class TestJacobiEigensolve:
         ([[1.0, 0.5], [0.2, 1.0]], "not symmetric"),
         ([[1.0, math.nan], [math.nan, 1.0]], "finite"),
         ([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]], "square"),
-    ], ids=["asymmetric", "nan", "non-square"])
+        # the float cast used to drop the imaginary parts of this Hermitian matrix
+        ([[1.0, 0.5j], [-0.5j, 1.0]], "matrix must be real"),
+    ], ids=["asymmetric", "nan", "non-square", "complex"])
     def test_rejects_bad_matrix(self, matrix, message):
         with pytest.raises(ValueError, match=message):
             jacobi_eigensolve(np.array(matrix))

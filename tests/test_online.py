@@ -419,25 +419,43 @@ class TestMonteCarloHarness:
         with pytest.raises(ImpossibleOutcomeError, match="at step 1$"):
             monte_carlo("greedy", 5, 0.6, 100, 1)
 
-    @pytest.mark.parametrize("n", [3, 12])
-    def test_undefined_posterior_after_step_1_names_the_reference_step(self, monkeypatch, n):
-        # the mutated click probability turns NaN once the tail weight leaves
-        # 1, so the first outcomes are defined and a later one is not
+    @pytest.mark.parametrize("patched", ["a", "b", "ab"])
+    @pytest.mark.parametrize("n", [3, 12, 50])
+    def test_undefined_posterior_after_step_1_names_the_reference_step(self, monkeypatch, n, patched):
+        # the patched click probabilities turn NaN once the tail weight
+        # leaves 1, so the first outcomes are defined and a later one is not
         kernel = online_module._outcome_phi_likelihoods
+        tails = []
 
-        def nan_b_off_the_prior(p0, c):
-            a, b = kernel(p0, c)
-            return a, np.where(np.asarray(p0) == 1.0, b, np.nan)
+        def nan_off_the_prior(p0, c):
+            tails.extend(np.atleast_1d(p0).tolist())
+            on_prior = np.asarray(p0) == 1.0
+            return tuple(np.where(on_prior, x, np.nan) if name in patched else x
+                         for name, x in zip("ab", kernel(p0, c)))
 
         messages = []
         for chunk in (_reference_chunk, online_module._simulate_chunk):
+            tails.clear()
             monkeypatch.setattr(online_module, "_simulate_chunk", chunk)
-            monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", nan_b_off_the_prior)
+            monkeypatch.setattr(online_module, "_outcome_phi_likelihoods", nan_off_the_prior)
             with pytest.raises(ImpossibleOutcomeError) as error:
                 monte_carlo("greedy", n, math.sqrt(0.5), 500, 1)
             messages.append(str(error.value))
         assert messages[0] == messages[1]
         assert not messages[1].endswith("at step 1")
+        # the engine expands each state once, the NaN ones included
+        assert len(tails) == len(set(tails))
+
+    def test_nan_click_probability_is_stored_as_minus_inf(self):
+        # NaN in thresholds means only "not expanded"; a NaN a clicks no
+        # more than -inf does, and both of the prior's successors are the sink
+        def nan_a(p0, c):
+            return np.full_like(p0, np.nan), np.full_like(p0, 0.5)
+
+        states = online_module._PosteriorAutomaton(nan_a, 0.6)
+        assert states.thresholds[0] == -math.inf
+        assert states.thresholds[2] == 0.5
+        np.testing.assert_array_equal(states.successors[:4], [4, 4, 6, 6])
 
     @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize("base_seed", [0, 2**64 - 1])
@@ -492,7 +510,7 @@ class TestMonteCarloHarness:
     def _assert_lazy(count, states, bound):
         # each state is expanded once, and its expansion creates at most its
         # two successors; the prior and the sink come before any expansion
-        expanded = int(np.count_nonzero(states.marks[:4 * len(states.tails):4] == 0))
+        expanded = int(np.count_nonzero(~np.isnan(states.thresholds[:4 * len(states.tails):4])))
         assert count == expanded
         assert 1 <= expanded <= bound
         assert len(states.tails) <= 2 * expanded + 2
